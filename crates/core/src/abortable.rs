@@ -1,6 +1,6 @@
 //! The abortable-object abstraction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use cso_metrics::{thread_rows, CounterBlock};
 
 use crate::error::Aborted;
 
@@ -94,12 +94,17 @@ pub trait Abortable: Send + Sync {
 /// [`Abortable::batch_end`] hooks: embed one in an abortable object
 /// and forward the hooks to [`BatchCounters::begin`] /
 /// [`BatchCounters::end`] to get per-object combining statistics.
-#[derive(Debug, Default)]
+/// The hooks carry no process id, so the counts live in a shared-mode
+/// [`CounterBlock`] (one relaxed `fetch_add` on the caller's home row).
+#[derive(Debug)]
 pub struct BatchCounters {
-    batches: AtomicU64,
-    applied: AtomicU64,
-    max_batch: AtomicU64,
+    block: CounterBlock,
 }
+
+/// [`BatchCounters`] slots.
+const BATCHES: usize = 0;
+const APPLIED: usize = 1;
+const MAX_BATCH: usize = 2;
 
 /// Snapshot of a [`BatchCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,33 +122,37 @@ pub struct BatchStats {
 impl BatchCounters {
     /// Fresh, all-zero counters.
     #[must_use]
-    pub const fn new() -> BatchCounters {
+    pub fn new() -> BatchCounters {
         BatchCounters {
-            batches: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
+            block: CounterBlock::new(thread_rows()),
         }
     }
 
     /// Forward [`Abortable::batch_begin`] here.
     pub fn begin(&self, pending: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(pending as u64, Ordering::Relaxed);
+        self.block.add(BATCHES, 1);
+        self.block.max(MAX_BATCH, pending as u64);
     }
 
     /// Forward [`Abortable::batch_end`] here.
     pub fn end(&self, applied: usize) {
-        self.applied.fetch_add(applied as u64, Ordering::Relaxed);
+        self.block.add(APPLIED, applied as u64);
     }
 
     /// The current totals.
     #[must_use]
     pub fn snapshot(&self) -> BatchStats {
         BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            batches: self.block.sum(BATCHES),
+            applied: self.block.sum(APPLIED),
+            max_batch: self.block.peak(MAX_BATCH),
         }
+    }
+}
+
+impl Default for BatchCounters {
+    fn default() -> BatchCounters {
+        BatchCounters::new()
     }
 }
 

@@ -29,9 +29,21 @@
 //!   [`Unrecoverable`]. All of its bookkeeping lives in plain
 //!   (uncounted) atomics, so Theorem 1's counted budgets are
 //!   untouched.
+//!
+//! # Statistics
+//!
+//! Every statistic — path completions, fast-path aborts, faults,
+//! combining activity, reclaimed records — is one slot of the object's
+//! [`CounterBlock`], one row per process. The invoking process is the
+//! only writer of its row, so a count is a relaxed load and store on a
+//! line no other process writes: no locked instruction and no shared
+//! statistics word on the fast path. [`ContentionSensitive::stats`]
+//! and the other views sum the rows, and
+//! [`ContentionSensitive::attach_metrics`] registers the same slots, so
+//! each event is counted exactly once.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -41,7 +53,7 @@ use cso_memory::combining::{CachePadded, PubRecord, RecordState, NO_HELPER};
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::RegBool;
-use cso_metrics::{Counter, Gauge, Registry, Timer};
+use cso_metrics::{CounterBlock, Gauge, Registry, Timer};
 use cso_trace::{probe, probe_if, Event};
 
 use crate::abortable::Abortable;
@@ -223,44 +235,61 @@ impl Default for CsConfig {
 /// The publication list: one cache-padded record per process.
 type PubList<O> = Box<[CachePadded<PubRecord<<O as Abortable>::Op, <O as Abortable>::Response>>]>;
 
-/// Live registry handles mirroring the internal statistics, installed
-/// (at most once) by [`ContentionSensitive::attach_metrics`].
-///
-/// Unlike the internal counters — where combining handoffs land in
-/// `locked` — the completion counters here are **disjoint by path**
-/// (`fast + eliminated + locked + combined` = completions), so a
-/// scrape shows the path mix directly. The internal
-/// `PathStats::locked` equals `locked + combined` of this family.
-struct CsMetrics {
-    /// Fast-path completions (lines 01–03), including the ladder's
-    /// contention-managed retries — every lock-free weak-op success.
-    fast: Counter,
-    /// Fast-path weak-operation aborts (fast path proper and ladder
-    /// retries; each one escalated one rung).
-    fast_aborts: Counter,
-    /// Completions via elimination rendezvous (the ladder's middle
-    /// rung — no main-state access, no lock).
-    eliminated: Counter,
-    /// Own-tenure slow-path completions (`SlowGuard` / combiner's own
-    /// operation).
-    locked: Counter,
+/// The slots of a [`ContentionSensitive`]'s [`CounterBlock`], all
+/// written in owned mode (row = the invoking process).
+mod slot {
+    /// Lock-free weak-op completions: the fast path and the ladder's
+    /// contention-managed retries.
+    pub const FAST: usize = 0;
+    /// Weak-op aborts on the fast path and the ladder's retries (each
+    /// one escalated one rung).
+    pub const FAST_ABORTS: usize = 1;
+    /// Completions by elimination rendezvous.
+    pub const ELIMINATED: usize = 2;
+    /// Completions in the invoker's own lock tenure.
+    pub const LOCKED: usize = 3;
     /// Completions delivered by *another* process's combining tenure.
-    combined: Counter,
+    pub const HANDOFFS: usize = 4;
     /// Survived under-lock panics.
-    poisoned: Counter,
+    pub const POISONED: usize = 5;
     /// Deadline expiries of `try_apply_for` / `try_apply_until`.
-    timeouts: Counter,
+    pub const TIMEOUTS: usize = 6;
     /// Poisoned publication-record handoffs (retried, not finished).
-    record_poisoned: Counter,
-    /// Publication records retired (tombstoned) because their owner
-    /// was suspected dead.
-    reclaimed: Counter,
+    pub const RECORD_POISONED: usize = 7;
     /// Combining lock tenures.
-    batches: Counter,
-    /// Requests served on behalf of other processes.
-    served: Counter,
-    /// Largest single combining tenure observed (own op + served).
-    max_batch: Gauge,
+    pub const BATCHES: usize = 8;
+    /// Requests a combiner served for other processes.
+    pub const SERVED: usize = 9;
+    /// Largest single tenure (own op + served), a per-row maximum.
+    pub const MAX_BATCH: usize = 10;
+    /// Publication records tombstoned because their owner was
+    /// suspected dead.
+    pub const RECLAIMED: usize = 11;
+}
+
+/// The counters [`ContentionSensitive::attach_metrics`] exports, as
+/// `{prefix}_{name}`. Completions are disjoint by path
+/// (`fast + eliminated + locked + combined` = completions), so a
+/// scrape shows the path mix directly; [`PathStats::locked`] is
+/// `locked + combined`.
+const EXPORTED: [(usize, &str); 11] = [
+    (slot::FAST, "ops_fast_total"),
+    (slot::FAST_ABORTS, "fast_aborts_total"),
+    (slot::ELIMINATED, "ops_eliminated_total"),
+    (slot::LOCKED, "ops_locked_total"),
+    (slot::HANDOFFS, "ops_combined_total"),
+    (slot::POISONED, "slow_poisoned_total"),
+    (slot::TIMEOUTS, "timeouts_total"),
+    (slot::RECORD_POISONED, "record_poisoned_total"),
+    (slot::RECLAIMED, "records_reclaimed_total"),
+    (slot::BATCHES, "combine_batches_total"),
+    (slot::SERVED, "combine_served_total"),
+];
+
+/// The gauges and latency timers installed (at most once) by
+/// [`ContentionSensitive::attach_metrics`]. Event counts are not here:
+/// the registry reads the object's own [`CounterBlock`].
+struct CsMetrics {
     /// 1.0 while the adaptive gate diverts the fast path, else 0.0.
     gate_engaged: Gauge,
     /// The gate's current abort EWMA.
@@ -372,8 +401,8 @@ pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 13;
 /// ```
 ///
 /// where `locked` includes the operations a combiner executed on the
-/// invoker's behalf (attributed to the invoker; the *live-metrics*
-/// family splits them out as `combined` instead), and
+/// invoker's behalf (attributed to the invoker; the exported
+/// `ops_combined_total` series splits them out instead), and
 /// [`FaultStats::record_poisoned`] is deliberately absent — poisoned
 /// handoffs are retried inside a still-running invocation, not
 /// finished ones. [`Telemetry::invocations`] computes exactly this
@@ -481,8 +510,6 @@ struct RecoveryInner {
     /// The per-process failure detector, shared with the lock.
     live: Arc<Liveness>,
     policy: RecoveryPolicy,
-    /// Publication records tombstoned on behalf of suspected corpses.
-    reclaimed: AtomicU64,
     /// High-water degradation rung (see [`RecoveryStats::degraded`]).
     degraded: AtomicU32,
 }
@@ -544,19 +571,11 @@ pub struct ContentionSensitive<O: Abortable, L> {
     records: PubList<O>,
     /// The EWMA abort-rate gate in front of the fast path.
     gate: AdaptiveGate,
-    // Path statistics: plain (uncounted) atomics — metrics, not part
-    // of the algorithm's shared-memory footprint.
-    fast: AtomicU64,
-    eliminated: AtomicU64,
-    locked: AtomicU64,
-    poisoned: AtomicU64,
-    timeouts: AtomicU64,
-    record_poisoned: AtomicU64,
-    // Combining statistics.
-    batches: AtomicU64,
-    combined: AtomicU64,
-    max_batch: AtomicU64,
-    /// Live registry handles, if [`ContentionSensitive::attach_metrics`]
+    /// Every statistic, one row per process (see [`slot`]): plain
+    /// (uncounted) atomics — metrics, not part of the algorithm's
+    /// shared-memory footprint.
+    counts: CounterBlock,
+    /// Gauges and timers, if [`ContentionSensitive::attach_metrics`]
     /// was called. The `OnceLock` probe is a plain (uncounted) atomic
     /// load, so unattached objects keep Theorem 1's access budget.
     metrics: OnceLock<CsMetrics>,
@@ -592,16 +611,10 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
         // Count first: once the lock is released, observers must
         // already see this operation in the statistics.
         if self.completed {
-            cs.locked.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = cs.metrics.get() {
-                m.locked.inc();
-            }
+            cs.counts.add_owned(self.proc, slot::LOCKED, 1);
             probe!(Event::LockedComplete);
         } else if std::thread::panicking() {
-            cs.poisoned.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = cs.metrics.get() {
-                m.poisoned.inc();
-            }
+            cs.counts.add_owned(self.proc, slot::POISONED, 1);
             probe!(Event::SlowPoisoned);
         }
         // Line 09. `write_lazy` skips the store when the register
@@ -684,16 +697,10 @@ impl<O: Abortable, L: RawLock> Drop for CombinerGuard<'_, O, L> {
     fn drop(&mut self) {
         let cs = self.cs;
         if self.completed {
-            cs.locked.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = cs.metrics.get() {
-                m.locked.inc();
-            }
+            cs.counts.add_owned(self.proc, slot::LOCKED, 1);
             probe!(Event::LockedComplete);
         } else if std::thread::panicking() {
-            cs.poisoned.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = cs.metrics.get() {
-                m.poisoned.inc();
-            }
+            cs.counts.add_owned(self.proc, slot::POISONED, 1);
             probe!(Event::SlowPoisoned);
             // Poison only the in-flight claims; their owners retry.
             for &i in &self.claimed[self.applied..] {
@@ -712,16 +719,11 @@ impl<O: Abortable, L: RawLock> Drop for CombinerGuard<'_, O, L> {
     }
 }
 
-impl<O: Abortable, L> std::fmt::Debug for ContentionSensitive<O, L> {
+impl<O: Abortable, L: RawLock> std::fmt::Debug for ContentionSensitive<O, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = PathStats {
-            fast: self.fast.load(Ordering::Relaxed),
-            eliminated: self.eliminated.load(Ordering::Relaxed),
-            locked: self.locked.load(Ordering::Relaxed),
-        };
         f.debug_struct("ContentionSensitive")
             .field("config", &self.config)
-            .field("stats", &stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -753,7 +755,6 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             RecoveryInner {
                 live,
                 policy,
-                reclaimed: AtomicU64::new(0),
                 degraded: AtomicU32::new(0),
             }
         });
@@ -764,15 +765,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             config,
             records: (0..n).map(|_| CachePadded::new(PubRecord::new())).collect(),
             gate: AdaptiveGate::new(),
-            fast: AtomicU64::new(0),
-            eliminated: AtomicU64::new(0),
-            locked: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            record_poisoned: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            combined: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
+            counts: CounterBlock::new(n),
             metrics: OnceLock::new(),
             recovery,
         }
@@ -783,39 +776,45 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// [`StarvationFree`] lock's counters in under the same prefix,
     /// and registers the global probe-ring drop gauge.
     ///
+    /// The exported `_total` series *are* the object's own counters
+    /// (the slots of its [`CounterBlock`]), so they count events since
+    /// construction and always equal the stats views;
+    /// `{prefix}_combine_max_batch` is polled, the maximum over rows.
+    /// What attaching adds is the gate gauges and the per-path latency
+    /// timers.
+    ///
     /// The first call wins; later calls (including against a different
-    /// registry) are no-ops — the handles live for the object's
-    /// lifetime. Observability is strictly additive: unattached, every
-    /// metric site costs one *uncounted* atomic load (the `OnceLock`
-    /// probe), so the step-budget tests still measure Theorem 1's
-    /// bound unchanged. Attached, operations additionally bump
-    /// wait-free sharded counters and take two `Instant` readings to
-    /// feed the per-path latency histograms.
+    /// registry) are no-ops. Unattached, every timer site costs one
+    /// *uncounted* atomic load (the `OnceLock` probe), so the
+    /// step-budget tests still measure Theorem 1's bound unchanged.
+    /// Attached, operations additionally take two `Instant` readings
+    /// to feed the per-path latency histograms.
     pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
         if self.metrics.get().is_some() {
             // Already attached: do not register names into (another)
-            // registry that will never receive increments. A racing
-            // first attach is still resolved by the `OnceLock` below.
+            // registry. A racing first attach is still resolved by the
+            // `OnceLock` below.
             return;
         }
-        let _ = self.metrics.set(CsMetrics {
-            fast: registry.counter(&format!("{prefix}_ops_fast_total")),
-            fast_aborts: registry.counter(&format!("{prefix}_fast_aborts_total")),
-            eliminated: registry.counter(&format!("{prefix}_ops_eliminated_total")),
-            locked: registry.counter(&format!("{prefix}_ops_locked_total")),
-            combined: registry.counter(&format!("{prefix}_ops_combined_total")),
-            poisoned: registry.counter(&format!("{prefix}_slow_poisoned_total")),
-            timeouts: registry.counter(&format!("{prefix}_timeouts_total")),
-            record_poisoned: registry.counter(&format!("{prefix}_record_poisoned_total")),
-            reclaimed: registry.counter(&format!("{prefix}_records_reclaimed_total")),
-            batches: registry.counter(&format!("{prefix}_combine_batches_total")),
-            served: registry.counter(&format!("{prefix}_combine_served_total")),
-            max_batch: registry.gauge(&format!("{prefix}_combine_max_batch")),
-            gate_engaged: registry.gauge(&format!("{prefix}_gate_engaged")),
-            gate_abort_ewma: registry.gauge(&format!("{prefix}_gate_abort_ewma")),
-            fast_ns: registry.timer(&format!("{prefix}_fast_ns")),
-            locked_ns: registry.timer(&format!("{prefix}_locked_ns")),
-            recover_ns: registry.timer(&format!("{prefix}_recover_ns")),
+        let fresh = self
+            .metrics
+            .set(CsMetrics {
+                gate_engaged: registry.gauge(&format!("{prefix}_gate_engaged")),
+                gate_abort_ewma: registry.gauge(&format!("{prefix}_gate_abort_ewma")),
+                fast_ns: registry.timer(&format!("{prefix}_fast_ns")),
+                locked_ns: registry.timer(&format!("{prefix}_locked_ns")),
+                recover_ns: registry.timer(&format!("{prefix}_recover_ns")),
+            })
+            .is_ok();
+        if !fresh {
+            return;
+        }
+        for (slot, name) in EXPORTED {
+            registry.register_counter(&format!("{prefix}_{name}"), self.counts.counter(slot));
+        }
+        let counts = self.counts.clone();
+        registry.gauge_fn(&format!("{prefix}_combine_max_batch"), move || {
+            counts.peak(slot::MAX_BATCH) as f64
         });
         if let Some(m) = self.metrics.get() {
             m.publish_gate(&self.gate);
@@ -840,11 +839,11 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     pub fn apply(&self, proc: usize, op: &O::Op) -> O::Response {
         assert!(proc < self.lock.n(), "process id out of range");
         // Lines 01–03: the lock-free shortcut.
-        if let Some(res) = self.fast_path(op) {
+        if let Some(res) = self.fast_path(proc, op) {
             return res;
         }
         // Rungs 2–3 of the escalation ladder (no-op unless enabled).
-        if let Some(res) = self.ladder(op) {
+        if let Some(res) = self.ladder(proc, op) {
             return res;
         }
 
@@ -959,14 +958,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     ) -> Result<O::Response, CsError> {
         assert!(proc < self.lock.n(), "process id out of range");
         // Lines 01–03: the shortcut costs no waiting, deadline or not.
-        if let Some(res) = self.fast_path(op) {
+        if let Some(res) = self.fast_path(proc, op) {
             return Ok(res);
         }
         // Rungs 2–3: bounded (backoff windows and park polls are
         // finite), so one pass through the ladder respects any
         // reasonable deadline; skip it entirely once expired.
         if !deadline.expired() {
-            if let Some(res) = self.ladder(op) {
+            if let Some(res) = self.ladder(proc, op) {
                 return Ok(res);
             }
         }
@@ -996,10 +995,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             self.lock.inner().try_lock_until(deadline)
         };
         if !acquired {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.timeouts.inc();
-            }
+            self.counts.add_owned(proc, slot::TIMEOUTS, 1);
             probe!(Event::SlowTimeout);
             return Err(TimedOut.into());
         }
@@ -1035,10 +1031,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 Err(_) => {
                     if !spinner.spin_deadline(deadline) {
                         drop(guard);
-                        self.timeouts.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = self.metrics.get() {
-                            m.timeouts.inc();
-                        }
+                        self.counts.add_owned(proc, slot::TIMEOUTS, 1);
                         probe!(Event::SlowTimeout);
                         return Err(TimedOut.into());
                     }
@@ -1127,7 +1120,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// the adaptive gate enabled, an engaged gate (sustained abort
     /// EWMA) also diverts — but its bookkeeping is all uncounted, so
     /// the contention-free cost stays at Theorem 1's six accesses.
-    fn fast_path(&self, op: &O::Op) -> Option<O::Response> {
+    fn fast_path(&self, proc: usize, op: &O::Op) -> Option<O::Response> {
         if !self.config.fast_path {
             return None;
         }
@@ -1146,9 +1139,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 if self.config.adaptive_gate {
                     self.gate.record(false);
                 }
-                self.fast.fetch_add(1, Ordering::Relaxed);
+                self.counts.add_owned(proc, slot::FAST, 1);
                 if let Some(m) = m {
-                    m.fast.inc();
                     if let Some(t0) = t0 {
                         m.fast_ns.record(t0.elapsed());
                     }
@@ -1163,8 +1155,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 if self.config.adaptive_gate {
                     self.gate.record(true);
                 }
+                self.counts.add_owned(proc, slot::FAST_ABORTS, 1);
                 if let Some(m) = m {
-                    m.fast_aborts.inc();
                     if self.config.adaptive_gate {
                         m.publish_gate(&self.gate);
                     }
@@ -1194,7 +1186,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// never reach this method — their fast path succeeds — so
     /// Theorem 1's six-access bound is untouched, which the
     /// step-budget tests pin down with the ladder enabled.
-    fn ladder(&self, op: &O::Op) -> Option<O::Response> {
+    fn ladder(&self, proc: usize, op: &O::Op) -> Option<O::Response> {
         if self.config.cas_backoff {
             for _ in 0..CM_RETRIES {
                 if self.config.contention_flag && self.contention.peek() {
@@ -1208,9 +1200,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         if self.config.adaptive_gate {
                             self.gate.record(false);
                         }
-                        self.fast.fetch_add(1, Ordering::Relaxed);
+                        self.counts.add_owned(proc, slot::FAST, 1);
                         if let Some(m) = self.metrics.get() {
-                            m.fast.inc();
                             if self.config.adaptive_gate {
                                 m.publish_gate(&self.gate);
                             }
@@ -1223,9 +1214,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         if self.config.adaptive_gate {
                             self.gate.record(true);
                         }
-                        if let Some(m) = self.metrics.get() {
-                            m.fast_aborts.inc();
-                        }
+                        self.counts.add_owned(proc, slot::FAST_ABORTS, 1);
                         probe!(Event::FastAbort);
                     }
                 }
@@ -1242,10 +1231,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             };
             probe!(Event::ElimAttempt);
             if let Some(res) = self.inner.try_eliminate(op, polls) {
-                self.eliminated.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.eliminated.inc();
-                }
+                self.counts.add_owned(proc, slot::ELIMINATED, 1);
                 probe!(Event::EliminatedComplete);
                 return Some(res);
             }
@@ -1288,10 +1274,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     let res = rec.take_response();
                     // An under-lock completion, attributed to this
                     // (invoking) process — the combiner only executed.
-                    self.locked.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.combined.inc();
-                    }
+                    self.counts.add_owned(proc, slot::HANDOFFS, 1);
                     #[cfg(feature = "trace")]
                     probe!(Event::RecordHandoff(
                         u32::try_from(posted_at.elapsed().as_nanos()).unwrap_or(u32::MAX)
@@ -1304,10 +1287,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     // The combiner unwound before applying us: the
                     // operation took no effect. Reclaim and repost.
                     rec.reclaim_poisoned();
-                    self.record_poisoned.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.record_poisoned.inc();
-                    }
+                    self.counts.add_owned(proc, slot::RECORD_POISONED, 1);
                     probe!(Event::RecordPoisoned);
                     // SAFETY: as for the initial post above.
                     unsafe { rec.post(op) };
@@ -1418,16 +1398,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             }
         };
         let served = self.serve_pending(&mut guard);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.combined.fetch_add(served, Ordering::Relaxed);
-        let prev_max = self.max_batch.fetch_max(served + 1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.batches.inc();
-            m.served.add(served);
-            // Racing tenures may publish out of order; the gauge is a
-            // best-effort view of the monotonic internal counter.
-            m.max_batch.set(prev_max.max(served + 1) as f64);
-        }
+        self.counts.add_owned(proc, slot::BATCHES, 1);
+        self.counts.add_owned(proc, slot::SERVED, served);
+        self.counts.max_owned(proc, slot::MAX_BATCH, served + 1);
         probe!(Event::CombineBatch(
             u32::try_from(served + 1).unwrap_or(u32::MAX)
         ));
@@ -1468,10 +1441,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         && rcv.live.suspect(i, rcv.policy.grace)
                         && rec.try_tombstone_posted()
                     {
-                        rcv.reclaimed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = self.metrics.get() {
-                            m.reclaimed.inc();
-                        }
+                        self.counts.add_owned(guard.proc, slot::RECLAIMED, 1);
                         probe!(Event::SuspectRaised(i as u32));
                         probe!(Event::RecordReclaimed(i as u32));
                         continue;
@@ -1512,10 +1482,11 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
 
     /// Snapshot of how many operations used each path.
     pub fn stats(&self) -> PathStats {
+        let sum = |slot| self.counts.sum(slot);
         PathStats {
-            fast: self.fast.load(Ordering::Relaxed),
-            eliminated: self.eliminated.load(Ordering::Relaxed),
-            locked: self.locked.load(Ordering::Relaxed),
+            fast: sum(slot::FAST),
+            eliminated: sum(slot::ELIMINATED),
+            locked: sum(slot::LOCKED) + sum(slot::HANDOFFS),
         }
     }
 
@@ -1523,9 +1494,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// and deadline expiries). See the module docs for the fault model.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
-            poisoned: self.poisoned.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            record_poisoned: self.record_poisoned.load(Ordering::Relaxed),
+            poisoned: self.counts.sum(slot::POISONED),
+            timeouts: self.counts.sum(slot::TIMEOUTS),
+            record_poisoned: self.counts.sum(slot::RECORD_POISONED),
         }
     }
 
@@ -1533,9 +1504,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// unless [`CsConfig::combining`] is on).
     pub fn combining_stats(&self) -> CombiningStats {
         CombiningStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            combined: self.combined.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            batches: self.counts.sum(slot::BATCHES),
+            combined: self.counts.sum(slot::SERVED),
+            max_batch: self.counts.peak(slot::MAX_BATCH),
         }
     }
 
@@ -1576,7 +1547,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         self.note_degraded();
         let sf = self.lock.recovery_stats()?;
         Some(RecoveryStats {
-            reclaimed: rcv.reclaimed.load(Ordering::Relaxed),
+            reclaimed: self.counts.sum(slot::RECLAIMED),
             successions: sf.successions,
             fenced_unlocks: sf.fenced_unlocks,
             degraded: rcv.degraded.load(Ordering::Relaxed),
@@ -1593,17 +1564,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         self.recovery.as_ref().map(|r| &r.live)
     }
 
-    /// Resets the path and fault statistics to zero.
+    /// Resets every statistic — path, fault, combining and reclaimed
+    /// counts — to zero. These are the same counters
+    /// [`ContentionSensitive::attach_metrics`] exports, so the exported
+    /// `_total` series restart from zero too (a counter reset, to a
+    /// scraper). Racy against in-flight operations: reset while the
+    /// object is quiescent for exact zeros.
     pub fn reset_stats(&self) {
-        self.fast.store(0, Ordering::Relaxed);
-        self.eliminated.store(0, Ordering::Relaxed);
-        self.locked.store(0, Ordering::Relaxed);
-        self.poisoned.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.record_poisoned.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.combined.store(0, Ordering::Relaxed);
-        self.max_batch.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 
     /// The number of processes this instance serves.
@@ -1630,6 +1598,7 @@ mod tests {
     use crate::testobj::{Bump, ScriptedObject};
     use cso_locks::TasLock;
     use cso_memory::counting::CountScope;
+    use std::sync::atomic::AtomicU64;
 
     fn make(aborts: usize, config: CsConfig) -> ContentionSensitive<ScriptedObject, TasLock> {
         ContentionSensitive::with_config(

@@ -21,9 +21,13 @@
 //! still provides the Lemma 2 termination argument. Everything here
 //! lives in plain (uncounted) atomics, so the contention-free fast
 //! path still performs exactly the six counted shared-memory accesses
-//! of Theorem 1 — enforced by the step-budget regression tests.
+//! of Theorem 1 — enforced by the step-budget regression tests. The
+//! activity counters ([`GateStats`]) sit in a shared-mode
+//! [`CounterBlock`]: callers pass no process id.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+use cso_metrics::{thread_rows, CounterBlock};
 
 /// Fixed-point scale: `SCALE` represents an abort rate of 1.0.
 const SCALE: u32 = 1 << 16;
@@ -57,9 +61,12 @@ pub struct AdaptiveGate {
     engaged: AtomicBool,
     /// Operations seen while engaged, for probe scheduling.
     tick: AtomicU32,
-    engages: AtomicU64,
-    diverted: AtomicU64,
+    /// [`GateStats`] counters, slots [`ENGAGES`] and [`DIVERTED`].
+    counts: CounterBlock,
 }
+
+const ENGAGES: usize = 0;
+const DIVERTED: usize = 1;
 
 impl AdaptiveGate {
     /// While engaged, every this-many-th operation probes the fast
@@ -74,8 +81,7 @@ impl AdaptiveGate {
             ewma: AtomicU32::new(0),
             engaged: AtomicBool::new(false),
             tick: AtomicU32::new(0),
-            engages: AtomicU64::new(0),
-            diverted: AtomicU64::new(0),
+            counts: CounterBlock::new(thread_rows()),
         }
     }
 
@@ -88,7 +94,7 @@ impl AdaptiveGate {
         self.ewma.store(new, Ordering::Relaxed);
         if new >= ENTER {
             if !self.engaged.swap(true, Ordering::Relaxed) {
-                self.engages.fetch_add(1, Ordering::Relaxed);
+                self.counts.add(ENGAGES, 1);
                 self.tick.store(0, Ordering::Relaxed);
             }
         } else if new <= EXIT {
@@ -107,7 +113,7 @@ impl AdaptiveGate {
         if t % Self::PROBE_PERIOD == Self::PROBE_PERIOD - 1 {
             return false;
         }
-        self.diverted.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(DIVERTED, 1);
         true
     }
 
@@ -127,8 +133,8 @@ impl AdaptiveGate {
     #[must_use]
     pub fn stats(&self) -> GateStats {
         GateStats {
-            engages: self.engages.load(Ordering::Relaxed),
-            diverted: self.diverted.load(Ordering::Relaxed),
+            engages: self.counts.sum(ENGAGES),
+            diverted: self.counts.sum(DIVERTED),
         }
     }
 
@@ -138,7 +144,7 @@ impl AdaptiveGate {
     pub fn force_engage(&self) {
         self.ewma.store(SCALE, Ordering::Relaxed);
         if !self.engaged.swap(true, Ordering::Relaxed) {
-            self.engages.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ENGAGES, 1);
             self.tick.store(0, Ordering::Relaxed);
         }
     }
@@ -148,8 +154,7 @@ impl AdaptiveGate {
         self.ewma.store(0, Ordering::Relaxed);
         self.engaged.store(false, Ordering::Relaxed);
         self.tick.store(0, Ordering::Relaxed);
-        self.engages.store(0, Ordering::Relaxed);
-        self.diverted.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 }
 

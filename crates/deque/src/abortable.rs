@@ -1,16 +1,21 @@
 //! The HLM deque as an abortable object (single-attempt operations).
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{DequeState, DequeWord};
 use cso_memory::reg::Reg64;
+use cso_metrics::{thread_rows, CounterBlock};
 use cso_trace::{probe, Event};
 
 use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, DequeResponse, End};
+
+/// Slots of the deque's counter block (shared mode: the attempts
+/// carry no process id).
+const ATTEMPTS: usize = 0;
+const ABORTS: usize = 1;
 
 /// One attempt of an HLM deque operation (the body of the
 /// obstruction-free loop), packaged as an [`Abortable`] object.
@@ -46,8 +51,8 @@ use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, DequeResponse, 
 #[derive(Debug)]
 pub struct AbortableDeque<V> {
     slots: Box<[Reg64]>,
-    attempts: AtomicU64,
-    aborts: AtomicU64,
+    /// Attempt/abort counters (slots [`ATTEMPTS`], [`ABORTS`]).
+    counts: CounterBlock,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
@@ -89,8 +94,7 @@ impl<V: Bits32> AbortableDeque<V> {
             .collect();
         AbortableDeque {
             slots,
-            attempts: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
+            counts: CounterBlock::new(thread_rows()),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -164,9 +168,9 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_push(&self, end: End, value: V) -> Result<DequePushOutcome, Aborted> {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(ATTEMPTS, 1);
         fail_point!("deque::push", {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ABORTS, 1);
             return Err(Aborted);
         });
         let result = match end {
@@ -174,7 +178,7 @@ impl<V: Bits32> AbortableDeque<V> {
             End::Left => self.try_push_left(value),
         };
         if result.is_err() {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ABORTS, 1);
             probe!(Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
@@ -190,9 +194,9 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_pop(&self, end: End) -> Result<DequePopOutcome<V>, Aborted> {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(ATTEMPTS, 1);
         fail_point!("deque::pop", {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ABORTS, 1);
             return Err(Aborted);
         });
         let result = match end {
@@ -200,7 +204,7 @@ impl<V: Bits32> AbortableDeque<V> {
             End::Left => self.try_pop_left(),
         };
         if result.is_err() {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ABORTS, 1);
             probe!(Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
@@ -310,10 +314,7 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Attempt/abort counters.
     #[must_use]
     pub fn abort_counts(&self) -> (u64, u64) {
-        (
-            self.attempts.load(Ordering::Relaxed),
-            self.aborts.load(Ordering::Relaxed),
-        )
+        (self.counts.sum(ATTEMPTS), self.counts.sum(ABORTS))
     }
 
     /// Combining-batch totals observed through the

@@ -253,13 +253,23 @@ mod tests {
                         loop {
                             match deque.push(t as usize, my_end, v) {
                                 DequePushOutcome::Pushed => break,
-                                DequePushOutcome::Full => {
-                                    if let DequePopOutcome::Popped(v) =
-                                        deque.pop(t as usize, my_end)
-                                    {
-                                        got.push(v);
+                                DequePushOutcome::Full => match deque.pop(t as usize, my_end) {
+                                    DequePopOutcome::Popped(v) => got.push(v),
+                                    // The linear arena reports an end
+                                    // Full once the data block drifts
+                                    // into its wall, even when empty;
+                                    // only traffic at the other end
+                                    // moves it back. Without this, a
+                                    // thread outliving the other end's
+                                    // pushers spins here forever.
+                                    DequePopOutcome::Empty => {
+                                        if deque.push(t as usize, my_end.opposite(), v)
+                                            == DequePushOutcome::Pushed
+                                        {
+                                            break;
+                                        }
                                     }
-                                }
+                                },
                             }
                         }
                         if let DequePopOutcome::Popped(v) = deque.pop(t as usize, my_end.opposite())

@@ -39,7 +39,7 @@
 //! ([`StarvationFree::is_poisoned`]) rather than mask a correlated
 //! failure forever.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cso_memory::backoff::{Deadline, Spinner};
@@ -47,7 +47,7 @@ use cso_memory::combining::CachePadded;
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::{RegBool, RegUsize};
-use cso_metrics::{Counter, Registry};
+use cso_metrics::{CounterBlock, Registry};
 use cso_trace::{probe, probe_if, Event, NO_TID};
 
 use crate::raw::{ProcLock, RawLock};
@@ -69,10 +69,6 @@ struct RecoveryState {
     /// Succession critical section: `recoverer + 1`, `0` = free. The
     /// lease itself is breakable (a recoverer can die too).
     recovering: AtomicUsize,
-    /// Completed successions (monotone; feeds the degradation ladder).
-    successions: AtomicU64,
-    /// Unlocks by a displaced holder that were fenced off.
-    fenced_unlocks: AtomicU64,
     /// Set once the succession budget is exhausted: the lock is
     /// unrecoverable and every `lock_recovering` fails fast.
     failed: AtomicBool,
@@ -122,17 +118,19 @@ pub struct SfRecoveryStats {
     pub holder: Option<usize>,
 }
 
-/// Registry handles for an attached [`StarvationFree`] lock. All
-/// counters are plain (uncounted) atomics, so attaching metrics never
-/// changes the paper's counted-access budgets.
-#[derive(Debug)]
-struct SfMetrics {
+/// The slots of a [`StarvationFree`] lock's [`CounterBlock`], written
+/// in owned mode (row = the acting process).
+mod slot {
     /// Successful acquisitions through the booster (any entry point).
-    acquires: Counter,
-    /// Line-11 `TURN` advances (the round-robin fairness handoffs).
-    turn_advances: Counter,
-    /// Completed lock successions (custody seized from a dead holder).
-    successions: Counter,
+    pub const ACQUIRES: usize = 0;
+    /// `TURN` advances at line 11 and by the recovery unwedge (the
+    /// round-robin fairness handoffs).
+    pub const TURN_ADVANCES: usize = 1;
+    /// Completed lock successions (custody seized from a dead holder;
+    /// monotone, feeds the succession budget).
+    pub const SUCCESSIONS: usize = 2;
+    /// Unlocks by a displaced holder that were fenced off.
+    pub const FENCED_UNLOCKS: usize = 3;
 }
 
 /// Boosts any deadlock-free [`RawLock`] into a starvation-free
@@ -165,8 +163,10 @@ pub struct StarvationFree<L> {
     /// the same reason — every waiter re-reads `TURN` in its spin
     /// loop.
     turn: CachePadded<RegUsize>,
-    /// Optional registry handles (see [`StarvationFree::attach_metrics`]).
-    metrics: OnceLock<SfMetrics>,
+    /// Fairness and recovery counters, one row per process (see
+    /// [`slot`]): plain (uncounted) atomics, so counting never changes
+    /// the paper's counted-access budgets.
+    counts: CounterBlock,
     /// Optional crash-recovery state (see
     /// [`StarvationFree::enable_recovery`]).
     recovery: OnceLock<RecoveryState>,
@@ -197,31 +197,26 @@ impl<L: RawLock> StarvationFree<L> {
                 .map(|_| CachePadded::new(RegBool::new(false)))
                 .collect(),
             turn: CachePadded::new(RegUsize::new(0)),
-            metrics: OnceLock::new(),
+            counts: CounterBlock::new(n),
             recovery: OnceLock::new(),
             prev_tid: CachePadded::new(AtomicU32::new(NO_TID)),
             holder_tid: CachePadded::new(AtomicU32::new(NO_TID)),
         }
     }
 
-    /// Registers this lock's fairness metrics into `registry` under
-    /// `<prefix>_lock_acquires_total`,
-    /// `<prefix>_turn_advances_total` and
-    /// `<prefix>_lock_successions_total`. Idempotent (the first
-    /// attachment wins); hot paths pay one uncounted atomic load when
-    /// unattached.
+    /// Registers this lock's own counters into `registry` as
+    /// `<prefix>_lock_acquires_total`, `<prefix>_turn_advances_total`
+    /// and `<prefix>_lock_successions_total`. The counters exist from
+    /// construction, so the series count every event since then;
+    /// attaching again (under any prefix) registers the same counters,
+    /// never a second count.
     pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        let _ = self.metrics.set(SfMetrics {
-            acquires: registry.counter(&format!("{prefix}_lock_acquires_total")),
-            turn_advances: registry.counter(&format!("{prefix}_turn_advances_total")),
-            successions: registry.counter(&format!("{prefix}_lock_successions_total")),
-        });
-    }
-
-    #[inline]
-    fn count_acquire(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.acquires.inc();
+        for (slot, name) in [
+            (slot::ACQUIRES, "lock_acquires_total"),
+            (slot::TURN_ADVANCES, "turn_advances_total"),
+            (slot::SUCCESSIONS, "lock_successions_total"),
+        ] {
+            registry.register_counter(&format!("{prefix}_{name}"), self.counts.counter(slot));
         }
     }
 
@@ -248,7 +243,7 @@ impl<L: RawLock> StarvationFree<L> {
         let t = self.turn.read();
         if (t == proc || !self.flag[t].read()) && self.inner.try_lock() {
             self.note_holder(proc);
-            self.count_acquire();
+            self.counts.add_owned(proc, slot::ACQUIRES, 1);
             true
         } else {
             self.flag[proc].write(false);
@@ -286,7 +281,7 @@ impl<L: RawLock> StarvationFree<L> {
                 // against the budget instead of blocking forever.
                 if self.inner.try_lock() {
                     self.note_holder(proc);
-                    self.count_acquire();
+                    self.counts.add_owned(proc, slot::ACQUIRES, 1);
                     return true;
                 }
             }
@@ -332,7 +327,7 @@ impl<L: RawLock> StarvationFree<L> {
         // Line 06, deadline-bounded.
         if self.inner.try_lock_until(deadline) {
             self.note_holder(proc);
-            self.count_acquire();
+            self.counts.add_owned(proc, slot::ACQUIRES, 1);
             true
         } else {
             self.flag[proc].write(false);
@@ -361,8 +356,6 @@ impl<L: RawLock> StarvationFree<L> {
             policy,
             holder: AtomicUsize::new(NO_HOLDER),
             recovering: AtomicUsize::new(0),
-            successions: AtomicU64::new(0),
-            fenced_unlocks: AtomicU64::new(0),
             failed: AtomicBool::new(false),
         });
     }
@@ -417,7 +410,7 @@ impl<L: RawLock> StarvationFree<L> {
         {
             true
         } else {
-            rec.fenced_unlocks.fetch_add(1, Ordering::Relaxed);
+            self.counts.add_owned(proc, slot::FENCED_UNLOCKS, 1);
             false
         }
     }
@@ -450,8 +443,8 @@ impl<L: RawLock> StarvationFree<L> {
     #[must_use]
     pub fn recovery_stats(&self) -> Option<SfRecoveryStats> {
         self.recovery.get().map(|r| SfRecoveryStats {
-            successions: r.successions.load(Ordering::Acquire),
-            fenced_unlocks: r.fenced_unlocks.load(Ordering::Acquire),
+            successions: self.counts.sum(slot::SUCCESSIONS),
+            fenced_unlocks: self.counts.sum(slot::FENCED_UNLOCKS),
             failed: r.failed.load(Ordering::Acquire),
             holder: match r.holder.load(Ordering::Acquire) {
                 NO_HOLDER => None,
@@ -474,9 +467,7 @@ impl<L: RawLock> StarvationFree<L> {
             let next = (t + 1) % self.flag.len();
             self.turn.write(next);
             probe!(Event::TurnAdvance(next as u32));
-            if let Some(m) = self.metrics.get() {
-                m.turn_advances.inc();
-            }
+            self.counts.add_owned(proc, slot::TURN_ADVANCES, 1);
         }
     }
 
@@ -528,7 +519,7 @@ impl<L: RawLock> StarvationFree<L> {
             }
         } else if self.inner.try_lock() {
             self.note_holder(proc);
-            self.count_acquire();
+            self.counts.add_owned(proc, slot::ACQUIRES, 1);
             return Succession::Acquired;
         }
         // Identify the corpse.
@@ -558,8 +549,10 @@ impl<L: RawLock> StarvationFree<L> {
                 break 'seize Succession::NoSuspect;
             }
             // Budget: fail fast instead of masking a correlated
-            // failure forever.
-            if rec.successions.load(Ordering::Acquire) >= u64::from(rec.policy.max_successions) {
+            // failure forever. Earlier successors' counts are visible:
+            // each released the lease (Release) after counting, and we
+            // took it (AcqRel).
+            if self.counts.sum(slot::SUCCESSIONS) >= u64::from(rec.policy.max_successions) {
                 rec.failed.store(true, Ordering::Release);
                 break 'seize Succession::Exhausted;
             }
@@ -571,7 +564,7 @@ impl<L: RawLock> StarvationFree<L> {
             {
                 break 'seize Succession::NoSuspect;
             }
-            rec.successions.fetch_add(1, Ordering::AcqRel);
+            self.counts.add_owned(proc, slot::SUCCESSIONS, 1);
             // Causal edge: custody of the still-locked inner word came
             // from the corpse's thread. Read its acquire stamp before
             // overwriting with our own.
@@ -595,10 +588,7 @@ impl<L: RawLock> StarvationFree<L> {
                 probe!(Event::FlagRaise(proc as u32));
             }
             probe!(Event::LockSucceeded(proc as u32));
-            if let Some(m) = self.metrics.get() {
-                m.successions.inc();
-                m.acquires.inc();
-            }
+            self.counts.add_owned(proc, slot::ACQUIRES, 1);
             Succession::Acquired
         };
         rec.recovering.store(0, Ordering::Release);
@@ -697,7 +687,7 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
         // Line 06: go through the (merely deadlock-free) inner lock.
         self.inner.lock();
         self.note_holder(proc);
-        self.count_acquire();
+        self.counts.add_owned(proc, slot::ACQUIRES, 1);
     }
 
     fn unlock(&self, proc: usize) {
@@ -721,9 +711,7 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
             let next = (t + 1) % self.flag.len();
             self.turn.write(next);
             probe!(Event::TurnAdvance(next as u32));
-            if let Some(m) = self.metrics.get() {
-                m.turn_advances.inc();
-            }
+            self.counts.add_owned(proc, slot::TURN_ADVANCES, 1);
         }
         // Line 12.
         self.stamp_release();
@@ -841,7 +829,8 @@ mod tests {
         assert_eq!(acquires.value(), 6);
         // Every solo unlock found FLAG[TURN] low and advanced TURN.
         assert_eq!(advances.value(), 6);
-        // A second attachment is a no-op, not a double count.
+        // A second attachment registers the same counters, not a
+        // double count.
         lock.attach_metrics(&registry, "other");
         lock.lock(0);
         lock.unlock(0);

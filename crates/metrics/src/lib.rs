@@ -4,11 +4,15 @@
 //! auditor) answers "what happened during that run"; this crate
 //! answers "what is the object doing *right now*". It provides:
 //!
-//! * a [`Registry`] of wait-free, per-thread-sharded [`Counter`]s,
-//!   [`Gauge`]s and [`LogHistogram`]-backed [`Timer`]s
-//!   ([`registry`]) — cheap enough to leave attached to a production
-//!   object (one relaxed `fetch_add` on a cache-padded shard per
-//!   increment, no locks on the hot path);
+//! * a [`Registry`] of [`Counter`]s, [`Gauge`]s and
+//!   [`LogHistogram`]-backed [`Timer`]s ([`registry`]);
+//! * [`CounterBlock`], the workspace's one counting primitive: cache-
+//!   padded rows of up to sixteen `u64` counters, one row per writer.
+//!   Every object keeps its statistics in one block — a writer with a
+//!   process id bumps its own row with a relaxed load and store, a
+//!   writer without one does one relaxed `fetch_add` on its thread's
+//!   home row — and both the object's stats views and the registry
+//!   read those same rows;
 //! * exporters: Prometheus text exposition ([`prom`]) and JSON
 //!   ([`json`]), both hand-rolled because the workspace builds
 //!   `--offline` with zero external dependencies;
@@ -17,13 +21,16 @@
 //!   ([`serve::PeriodicDump`]).
 //!
 //! The object crates integrate via `attach_metrics` methods
-//! (`ContentionSensitive`, `StarvationFree`, and the `CsStack` /
-//! `CsQueue` / `CsDeque` wrappers): once attached, a live object
-//! exposes its fast/locked/combining path mix, abort rate, EWMA gate
-//! state, and per-path latency quantiles. Attachment is optional and
-//! `&self`; an object with no registry attached pays one uncounted
-//! atomic load per operation, so the paper's Theorem 1 step budgets
-//! (six *counted* shared accesses contention-free) are unchanged.
+//! (`ContentionSensitive`, `StarvationFree`, the `CsStack` /
+//! `CsQueue` / `CsDeque` wrappers and the sharded objects): attaching
+//! registers views of the object's own counters under their exported
+//! names ([`Registry::register_counter`]), so each event is counted
+//! exactly once and the export counts events since construction. What
+//! attachment adds is gauges and per-path latency timers; an object
+//! with no registry attached pays one uncounted atomic load per
+//! operation for them. Counters are plain (uncounted) atomics either
+//! way, so the paper's Theorem 1 step budgets (six *counted* shared
+//! accesses contention-free) are unchanged.
 //!
 //! [`LogHistogram`]: cso_trace::LogHistogram
 
@@ -36,5 +43,5 @@ pub mod registry;
 pub mod serve;
 
 pub use json::Json;
-pub use registry::{Counter, Gauge, Registry, Snapshot, Timer};
+pub use registry::{thread_rows, Counter, CounterBlock, Gauge, Registry, Snapshot, Timer};
 pub use serve::{MetricsServer, PeriodicDump, RouteHandler, Routes};

@@ -1,13 +1,30 @@
 //! The metric primitives and the registry that aggregates them.
 //!
-//! # Sharding
+//! # Counting: one system, per-writer rows
 //!
-//! A [`Counter`] keeps [`SHARDS`] cache-padded `AtomicU64`s; each
-//! thread is assigned a home shard (round-robin at first use, cached
-//! in a thread-local) and increments only that shard with one relaxed
-//! `fetch_add` — wait-free, and free of the cross-core cache-line
-//! ping-pong a single shared counter would cost under contention.
-//! Reading a counter sums the shards.
+//! Every event counter in the workspace lives in a [`CounterBlock`]: a
+//! set of cache-padded rows, one row per writer, each row holding up
+//! to [`ROW_SLOTS`] of one object's `u64` counters (one 128-byte line).
+//! An object owns one block and indexes its statistics by slot; its
+//! stats views sum (or, for high-water marks, take the maximum of) a
+//! slot over the rows, and `attach_metrics` registers views of the
+//! same slots ([`CounterBlock::counter`]) under their exported names.
+//! No event is counted twice.
+//!
+//! A slot is written in exactly one of two ways:
+//!
+//! * **owned** ([`CounterBlock::add_owned`]): the writer passes its
+//!   process id, and row `proc` has that single writer — the ownership
+//!   rule of `cso_memory::registry` (every participating thread owns a
+//!   distinct id). A relaxed load and store suffice, with no locked
+//!   instruction;
+//! * **shared** ([`CounterBlock::add`]): writers without an id bump
+//!   their thread's *home row* with one relaxed `fetch_add`. Home rows
+//!   are assigned round-robin at a thread's first use over
+//!   [`thread_rows`] rows, worked out once per process.
+//!
+//! Mixing the two on one slot would let an owner's store overwrite a
+//! shared increment, so each object fixes the mode per slot.
 //!
 //! # `snapshot()` consistency model
 //!
@@ -15,10 +32,11 @@
 //! global lock-out of writers, so it is a *per-metric-consistent*
 //! view, not a cross-metric atomic cut:
 //!
-//! * each counter value is the sum of its shards as they were read —
-//!   monotone between snapshots, but an increment racing the snapshot
-//!   may appear in one counter and not yet in a logically-related one
-//!   (e.g. `ops_fast_total` may momentarily lag `ops_total`);
+//! * each counter value is the sum of its rows as they were read —
+//!   monotone between snapshots (until a `reset_*` zeroes the object's
+//!   block), but an increment racing the snapshot may appear in one
+//!   counter and not yet in a logically-related one (e.g.
+//!   `ops_fast_total` may momentarily lag `ops_total`);
 //! * timer quantiles summarize *some recent prefix* of samples (see
 //!   `LogHistogram::snapshot`);
 //! * polled gauges run their closures at snapshot time.
@@ -30,54 +48,186 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cso_memory::CachePadded;
 use cso_trace::{HistSnapshot, LogHistogram};
 
-/// Shards per counter. Threads hash onto shards round-robin; 16 covers
-/// the workspace's bench range (`CSO_MAX_THREADS` ≤ 16) without
-/// aliasing, and costs 16 × 128 B = 2 KiB per counter.
-pub const SHARDS: usize = 16;
+/// Counters per row: sixteen `u64`s fill one 128-byte cache line.
+pub const ROW_SLOTS: usize = 16;
 
-/// This thread's home shard, assigned round-robin at first use.
-fn home_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut idx = s.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(idx);
-        }
-        idx
+type Row = CachePadded<[AtomicU64; ROW_SLOTS]>;
+
+/// Rows in a shared-mode block: the host's `available_parallelism`
+/// rounded up to a power of two, at most 16 (the workspace's bench
+/// range, `CSO_MAX_THREADS` ≤ 16). Worked out once per process: the
+/// lookup reads cgroup files, far too slow for every constructor.
+pub fn thread_rows() -> usize {
+    static ROWS: OnceLock<usize> = OnceLock::new();
+    *ROWS.get_or_init(|| {
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        cpus.next_power_of_two().min(16)
     })
 }
 
-/// A monotone event counter, sharded per thread. Cloning is shallow
-/// (an `Arc` bump): every clone observes the same value.
-#[derive(Clone)]
-pub struct Counter {
-    shards: Arc<[CachePadded<AtomicU64>]>,
+/// This thread's home row in `0..thread_rows()`, assigned round-robin
+/// at first use.
+#[inline]
+fn home_row() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HOME: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    HOME.with(|h| {
+        let mut row = h.get();
+        if row == usize::MAX {
+            row = NEXT.fetch_add(1, Ordering::Relaxed) % thread_rows();
+            h.set(row);
+        }
+        row
+    })
 }
 
-impl Counter {
-    fn new() -> Counter {
-        Counter {
-            shards: (0..SHARDS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
+/// One object's counters: cache-padded rows of [`ROW_SLOTS`] slots,
+/// one row per writer (see the module docs for the two write modes).
+/// Cloning is shallow (an `Arc` bump); every clone sees the same
+/// counts.
+#[derive(Clone, Debug)]
+pub struct CounterBlock {
+    rows: Arc<[Row]>,
+}
+
+impl CounterBlock {
+    /// A zeroed block of `rows` rows: one per process id for a block
+    /// with owned slots, [`thread_rows`] for a shared-mode block.
+    ///
+    /// # Panics
+    ///
+    /// If `rows == 0`.
+    pub fn new(rows: usize) -> CounterBlock {
+        assert!(rows > 0, "a counter block needs at least one row");
+        CounterBlock {
+            rows: (0..rows)
+                .map(|_| CachePadded::new(Default::default()))
                 .collect(),
         }
     }
 
+    /// Adds `n` to `slot` of row `row`, whose only writer is the
+    /// caller: a relaxed load and store, no locked instruction.
+    ///
+    /// # Panics
+    ///
+    /// If `row` or `slot` is out of range.
+    #[inline]
+    pub fn add_owned(&self, row: usize, slot: usize, n: u64) {
+        let c = &self.rows[row][slot];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Raises `slot` of the caller's own row `row` to at least `v`.
+    ///
+    /// # Panics
+    ///
+    /// If `row` or `slot` is out of range.
+    #[inline]
+    pub fn max_owned(&self, row: usize, slot: usize, v: u64) {
+        let c = &self.rows[row][slot];
+        if v > c.load(Ordering::Relaxed) {
+            c.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// The calling thread's cell of `slot` (the modulo only runs for
+    /// blocks with fewer rows than [`thread_rows`]).
+    #[inline]
+    fn home(&self, slot: usize) -> &AtomicU64 {
+        let (row, rows) = (home_row(), self.rows.len());
+        &self.rows[if row < rows { row } else { row % rows }][slot]
+    }
+
+    /// Adds `n` to `slot` from any thread: one relaxed `fetch_add` on
+    /// the thread's home row.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    #[inline]
+    pub fn add(&self, slot: usize, n: u64) {
+        self.home(slot).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises `slot` to at least `v` from any thread (a relaxed
+    /// `fetch_max` on the thread's home row).
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    #[inline]
+    pub fn max(&self, slot: usize, v: u64) {
+        self.home(slot).fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// The total of `slot` over all rows.
+    pub fn sum(&self, slot: usize) -> u64 {
+        self.rows
+            .iter()
+            .map(|r| r[slot].load(Ordering::Relaxed))
+            .fold(0u64, u64::wrapping_add)
+    }
+
+    /// The largest value of `slot` over all rows (for slots written
+    /// with [`CounterBlock::max_owned`] / [`CounterBlock::max`]).
+    pub fn peak(&self, slot: usize) -> u64 {
+        self.rows
+            .iter()
+            .map(|r| r[slot].load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Zeroes every slot of every row. Racy against writers: call it
+    /// while the object is quiescent for exact zeros.
+    pub fn reset(&self) {
+        let cells = self.rows.iter().flat_map(|row| row.iter());
+        cells.for_each(|c| c.store(0, Ordering::Relaxed));
+    }
+
+    /// A [`Counter`] view of `slot` — what `attach_metrics` registers,
+    /// so the export reads the object's own count.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    pub fn counter(&self, slot: usize) -> Counter {
+        assert!(slot < ROW_SLOTS, "counter slot out of range");
+        Counter {
+            block: self.clone(),
+            slot,
+        }
+    }
+}
+
+/// A monotone event counter: one slot of a [`CounterBlock`]. Cloning
+/// is shallow; every clone observes the same value.
+///
+/// [`Registry::counter`] makes counters in shared mode, so
+/// [`Counter::add`] is safe from any thread. A counter an object
+/// registered for its own statistics is written by the object in
+/// owned mode — read it, do not add to it.
+#[derive(Clone)]
+pub struct Counter {
+    block: CounterBlock,
+    slot: usize,
+}
+
+impl Counter {
     /// Adds `n`. Wait-free: one relaxed `fetch_add` on the calling
-    /// thread's home shard.
+    /// thread's home row.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[home_shard()].fetch_add(n, Ordering::Relaxed);
+        self.block.add(self.slot, n);
     }
 
     /// Adds one.
@@ -86,13 +236,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over shards; monotone between reads).
+    /// The current total (sum over rows; monotone between reads).
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
+        self.block.sum(self.slot)
     }
 }
 
@@ -222,6 +369,16 @@ fn register<T: Clone>(table: &Mutex<Vec<(String, T)>>, name: &str, make: impl Fn
     made
 }
 
+/// Registers `value` under `name`, replacing any entry of that name.
+fn replace<T>(table: &Mutex<Vec<(String, T)>>, name: &str, value: T) {
+    assert!(valid_name(name), "invalid metric name {name:?}");
+    let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
+    match table.iter_mut().find(|(n, _)| n == name) {
+        Some(entry) => entry.1 = value,
+        None => table.push((name.to_owned(), value)),
+    }
+}
+
 impl Registry {
     /// An empty registry.
     #[must_use]
@@ -240,7 +397,21 @@ impl Registry {
     /// If `name` is not a valid Prometheus metric name
     /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
     pub fn counter(&self, name: &str) -> Counter {
-        register(&self.inner.counters, name, Counter::new)
+        register(&self.inner.counters, name, || {
+            CounterBlock::new(thread_rows()).counter(0)
+        })
+    }
+
+    /// Registers `counter` — typically an object's own statistic, from
+    /// [`CounterBlock::counter`] — under `name`, replacing any counter
+    /// of that name, so [`Registry::counter`] and every snapshot read
+    /// the object's count directly instead of a mirror.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is invalid (see [`Registry::counter`]).
+    pub fn register_counter(&self, name: &str, counter: Counter) {
+        replace(&self.inner.counters, name, counter);
     }
 
     /// Registers (or retrieves) the gauge named `name`. See
@@ -263,13 +434,7 @@ impl Registry {
     ///
     /// If `name` is invalid (see [`Registry::counter`]).
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut polled = self.inner.polled.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = polled.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = Box::new(f);
-        } else {
-            polled.push((name.to_owned(), Box::new(f)));
-        }
+        replace(&self.inner.polled, name, Box::new(f));
     }
 
     /// Registers the build-identity and uptime series:
@@ -395,28 +560,86 @@ pub struct Snapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_sums_across_threads() {
-        let reg = Registry::new();
-        let c = reg.counter("ops_total");
-        let threads: Vec<_> = (0..8)
+    /// Spawns `threads` threads that each add one `per_thread` times
+    /// to `c`.
+    fn hammer(c: &Counter, threads: usize, per_thread: u64) {
+        let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let c = c.clone();
                 std::thread::spawn(move || {
-                    for _ in 0..10_000 {
+                    for _ in 0..per_thread {
                         c.inc();
                     }
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
+        for h in handles {
+            h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn counter_sums_across_threads() {
+        let reg = Registry::new();
+        let c = reg.counter("ops_total");
+        hammer(&c, 8, 10_000);
         assert_eq!(c.value(), 80_000);
         assert_eq!(
             reg.snapshot().counters,
             vec![("ops_total".to_owned(), 80_000)]
         );
+        // A block with fewer rows than threads: home rows alias, and
+        // the shared-mode `fetch_add` still sums exactly.
+        let narrow = CounterBlock::new(1).counter(3);
+        let threads = thread_rows() + 3;
+        hammer(&narrow, threads, 10_000);
+        assert_eq!(narrow.value(), threads as u64 * 10_000);
+    }
+
+    #[test]
+    fn owned_rows_sum_and_peak() {
+        let block = CounterBlock::new(4);
+        let handles: Vec<_> = (0..4)
+            .map(|proc| {
+                let block = block.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1_000 {
+                        block.add_owned(proc, 0, 1);
+                        block.max_owned(proc, 1, (proc * 1_000 + i) as u64);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(block.sum(0), 4_000);
+        assert_eq!(block.peak(1), 3_999);
+        let view = block.counter(0);
+        block.reset();
+        assert_eq!(view.value(), 0);
+        assert_eq!(block.peak(1), 0);
+    }
+
+    #[test]
+    fn registered_counters_are_the_objects_own() {
+        let reg = Registry::new();
+        let block = CounterBlock::new(2);
+        reg.counter("obj_ops_total").add(5);
+        reg.register_counter("obj_ops_total", block.counter(2));
+        block.add_owned(1, 2, 7);
+        assert_eq!(reg.counter("obj_ops_total").value(), 7);
+        assert_eq!(
+            reg.snapshot().counters,
+            vec![("obj_ops_total".to_owned(), 7)]
+        );
+    }
+
+    #[test]
+    fn thread_rows_is_a_bounded_power_of_two() {
+        let rows = thread_rows();
+        assert!(rows.is_power_of_two() && rows <= 16);
+        assert_eq!(rows, thread_rows());
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! "non-interfering operations" example, realized.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{HeadWord, SlotWord, TailWord};
 use cso_memory::reg::Reg64;
+use cso_metrics::{thread_rows, CounterBlock};
 use cso_trace::{probe, probe_if, Event};
 
 use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse};
@@ -88,15 +88,20 @@ pub struct AbortableQueue<V> {
     head: Reg64,
     tail: Reg64,
     ring: Box<[Reg64]>,
-    enq_attempts: AtomicU64,
-    enq_aborts: AtomicU64,
-    deq_attempts: AtomicU64,
-    deq_aborts: AtomicU64,
+    /// [`QueueAbortStats`] counters (diagnostics, not shared-memory
+    /// accesses).
+    counts: CounterBlock,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
 
 const BOTTOM: u32 = 0;
+
+/// [`QueueAbortStats`] slots of the queue's counter block.
+const ENQ_ATTEMPTS: usize = 0;
+const ENQ_ABORTS: usize = 1;
+const DEQ_ATTEMPTS: usize = 2;
+const DEQ_ABORTS: usize = 3;
 
 impl<V: Bits32> AbortableQueue<V> {
     /// Creates an empty queue of capacity `capacity`.
@@ -134,10 +139,7 @@ impl<V: Bits32> AbortableQueue<V> {
                 .pack(),
             ),
             ring,
-            enq_attempts: AtomicU64::new(0),
-            enq_aborts: AtomicU64::new(0),
-            deq_attempts: AtomicU64::new(0),
-            deq_aborts: AtomicU64::new(0),
+            counts: CounterBlock::new(thread_rows()),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -196,9 +198,9 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (dequeues never abort an enqueue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_enqueue(&self, value: V) -> Result<EnqueueOutcome, Aborted> {
-        self.enq_attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(ENQ_ATTEMPTS, 1);
         fail_point!("queue::enqueue", {
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ENQ_ABORTS, 1);
             return Err(Aborted);
         });
         // 1. Read the enqueue authority.
@@ -217,7 +219,7 @@ impl<V: Bits32> AbortableQueue<V> {
             if revalidated == tail {
                 return Ok(EnqueueOutcome::Full);
             }
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ENQ_ABORTS, 1);
             return Err(Aborted);
         }
         // 5. Sequence number for the slot our element will occupy.
@@ -233,7 +235,7 @@ impl<V: Bits32> AbortableQueue<V> {
         if self.tail.cas(tail.pack(), new_tail.pack()) {
             Ok(EnqueueOutcome::Enqueued)
         } else {
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(ENQ_ABORTS, 1);
             probe!(Event::CasFail("queue::tail"));
             Err(Aborted)
         }
@@ -247,9 +249,9 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (enqueues never abort a dequeue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_dequeue(&self) -> Result<DequeueOutcome<V>, Aborted> {
-        self.deq_attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(DEQ_ATTEMPTS, 1);
         fail_point!("queue::dequeue", {
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(DEQ_ABORTS, 1);
             return Err(Aborted);
         });
         // 1. Read the dequeue authority.
@@ -266,7 +268,7 @@ impl<V: Bits32> AbortableQueue<V> {
             if revalidated == head {
                 return Ok(DequeueOutcome::Empty);
             }
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(DEQ_ABORTS, 1);
             return Err(Aborted);
         }
         // 5. Read our element's slot. It is final: if it is the newest
@@ -281,7 +283,7 @@ impl<V: Bits32> AbortableQueue<V> {
         if self.head.cas(head.pack(), new_head.pack()) {
             Ok(DequeueOutcome::Dequeued(V::from_bits(slot.value)))
         } else {
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(DEQ_ABORTS, 1);
             probe!(Event::CasFail("queue::head"));
             Err(Aborted)
         }
@@ -290,19 +292,20 @@ impl<V: Bits32> AbortableQueue<V> {
     /// Snapshot of the attempt/abort counters (experiment E6).
     pub fn abort_stats(&self) -> QueueAbortStats {
         QueueAbortStats {
-            enq_attempts: self.enq_attempts.load(Ordering::Relaxed),
-            enq_aborts: self.enq_aborts.load(Ordering::Relaxed),
-            deq_attempts: self.deq_attempts.load(Ordering::Relaxed),
-            deq_aborts: self.deq_aborts.load(Ordering::Relaxed),
+            enq_attempts: self.counts.sum(ENQ_ATTEMPTS),
+            enq_aborts: self.counts.sum(ENQ_ABORTS),
+            deq_attempts: self.counts.sum(DEQ_ATTEMPTS),
+            deq_aborts: self.counts.sum(DEQ_ABORTS),
         }
     }
 
-    /// Resets the attempt/abort counters.
+    /// Resets the attempt/abort counters to zero: the counter block
+    /// [`Self::abort_stats`] reads, which is the only copy of these
+    /// counts (no registry series mirrors or exports them). Racy
+    /// against in-flight operations: reset while quiescent for exact
+    /// zeros.
     pub fn reset_abort_stats(&self) {
-        self.enq_attempts.store(0, Ordering::Relaxed);
-        self.enq_aborts.store(0, Ordering::Relaxed);
-        self.deq_attempts.store(0, Ordering::Relaxed);
-        self.deq_aborts.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 
     /// Combining-batch totals observed through the

@@ -178,7 +178,11 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         self.inner.stats()
     }
 
-    /// Resets the path statistics.
+    /// Resets every statistic of the contention-sensitive layer — path,
+    /// fault and combining counts — to zero (see
+    /// [`ContentionSensitive::reset_stats`]). These are the same
+    /// counters [`Self::attach_metrics`] exports, so the exported
+    /// `_total` series restart from zero as well.
     pub fn reset_path_stats(&self) {
         self.inner.reset_stats()
     }
@@ -265,23 +269,29 @@ mod tests {
 
     #[test]
     fn solo_ops_are_exactly_seven_accesses() {
-        let queue: CsQueue<u32> = CsQueue::new(64, 4);
-        queue.enqueue(0, 1);
-        let scope = CountScope::start();
-        queue.enqueue(0, 2);
-        assert_eq!(
-            scope.take().total(),
-            7,
-            "CONTENTION read + 6-access weak enqueue"
-        );
-        let scope = CountScope::start();
-        queue.dequeue(0);
-        assert_eq!(
-            scope.take().total(),
-            7,
-            "CONTENTION read + 6-access weak dequeue"
-        );
-        assert_eq!(queue.path_stats().locked, 0);
+        // With and without a metrics registry attached.
+        for attached in [false, true] {
+            let queue: CsQueue<u32> = CsQueue::new(64, 4);
+            if attached {
+                queue.attach_metrics(&cso_metrics::Registry::new(), "budget");
+            }
+            queue.enqueue(0, 1);
+            let scope = CountScope::start();
+            queue.enqueue(0, 2);
+            assert_eq!(
+                scope.take().total(),
+                7,
+                "CONTENTION read + 6-access weak enqueue (attached: {attached})"
+            );
+            let scope = CountScope::start();
+            queue.dequeue(0);
+            assert_eq!(
+                scope.take().total(),
+                7,
+                "CONTENTION read + 6-access weak dequeue (attached: {attached})"
+            );
+            assert_eq!(queue.path_stats().locked, 0);
+        }
     }
 
     #[test]

@@ -22,12 +22,23 @@
 //! prefix can never strand elements — deactivated lanes simply drain.
 //!
 //! All state here is uncounted (`std::sync::atomic`): the controller
-//! costs none of Theorem 1's budget.
+//! costs none of Theorem 1's budget. It counts nothing itself:
+//! [`Elastic::record`] reports each transition, and the router counts
+//! it in its own counter block.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cso_core::AdaptiveGate;
 use cso_memory::CachePadded;
+
+/// A lane-count transition made by [`Elastic::record`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resize {
+    /// The active prefix doubled.
+    Split,
+    /// The active prefix halved.
+    Merge,
+}
 
 #[derive(Debug)]
 pub(crate) struct Elastic {
@@ -41,8 +52,6 @@ pub(crate) struct Elastic {
     ops: CachePadded<AtomicUsize>,
     /// Evaluations to skip before the next transition is allowed.
     cooldown: AtomicUsize,
-    splits: AtomicU64,
-    merges: AtomicU64,
     max_lanes: usize,
     eval_period: usize,
     cooldown_evals: usize,
@@ -63,8 +72,6 @@ impl Elastic {
             inflight: CachePadded::new(AtomicUsize::new(0)),
             ops: CachePadded::new(AtomicUsize::new(0)),
             cooldown: AtomicUsize::new(0),
-            splits: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
             max_lanes,
             eval_period,
             cooldown_evals,
@@ -100,15 +107,16 @@ impl Elastic {
 
     /// Feeds the overlap sample to the gate and, every `eval_period`
     /// operations, re-evaluates the lane count: engaged gate ⇒ double
-    /// the active prefix; disengaged gate ⇒ halve it.
-    pub(crate) fn record(&self, contended: bool) {
+    /// the active prefix; disengaged gate ⇒ halve it. Returns the
+    /// transition, if this call made one.
+    pub(crate) fn record(&self, contended: bool) -> Option<Resize> {
         if !self.enabled {
-            return;
+            return None;
         }
         self.gate.record(contended);
         let tick = self.ops.fetch_add(1, Ordering::AcqRel) + 1;
         if tick % self.eval_period != 0 {
-            return;
+            return None;
         }
         // Only the thread that crossed the period boundary evaluates.
         if self
@@ -116,7 +124,7 @@ impl Elastic {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| c.checked_sub(1))
             .is_ok()
         {
-            return; // still cooling down after the last transition
+            return None; // still cooling down after the last transition
         }
         let active = self.active();
         let target = if self.gate.engaged() {
@@ -124,27 +132,18 @@ impl Elastic {
         } else {
             (active / 2).max(1)
         };
-        if target > active {
-            self.active.store(target, Ordering::Release);
-            self.splits.fetch_add(1, Ordering::AcqRel);
-            self.cooldown.store(self.cooldown_evals, Ordering::Release);
-        } else if target < active {
-            self.active.store(target, Ordering::Release);
-            self.merges.fetch_add(1, Ordering::AcqRel);
-            self.cooldown.store(self.cooldown_evals, Ordering::Release);
-        }
+        let resize = match target.cmp(&active) {
+            std::cmp::Ordering::Greater => Resize::Split,
+            std::cmp::Ordering::Less => Resize::Merge,
+            std::cmp::Ordering::Equal => return None,
+        };
+        self.active.store(target, Ordering::Release);
+        self.cooldown.store(self.cooldown_evals, Ordering::Release);
+        Some(resize)
     }
 
     pub(crate) fn gate(&self) -> &AdaptiveGate {
         &self.gate
-    }
-
-    pub(crate) fn splits(&self) -> u64 {
-        self.splits.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn merges(&self) -> u64 {
-        self.merges.load(Ordering::Acquire)
     }
 
     pub(crate) fn enabled(&self) -> bool {
@@ -163,10 +162,9 @@ mod tests {
         assert!(!e.enter());
         e.exit();
         for _ in 0..256 {
-            e.record(true);
+            assert_eq!(e.record(true), None);
         }
         assert_eq!(e.active(), 8);
-        assert_eq!(e.splits(), 0);
     }
 
     #[test]
@@ -174,17 +172,17 @@ mod tests {
         let e = Elastic::new(4, true, 4, 0);
         assert_eq!(e.active(), 1);
         // Engage the gate, then let evaluations double the prefix.
-        for _ in 0..256 {
-            e.record(true);
-        }
+        let splits = (0..256)
+            .filter(|_| e.record(true) == Some(Resize::Split))
+            .count();
         assert_eq!(e.active(), 4, "sustained overlap must fan out");
-        assert!(e.splits() >= 2);
+        assert!(splits >= 2);
         // Quiet traffic disengages the gate and merges back to 1.
-        for _ in 0..1024 {
-            e.record(false);
-        }
+        let merges = (0..1024)
+            .filter(|_| e.record(false) == Some(Resize::Merge))
+            .count();
         assert_eq!(e.active(), 1, "solo traffic must contract");
-        assert!(e.merges() >= 2);
+        assert!(merges >= 2);
     }
 
     #[test]

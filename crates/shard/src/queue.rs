@@ -108,6 +108,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
     }
 
     /// Enqueues `value` on behalf of process `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc >= n`.
     pub fn enqueue(&self, proc: usize, value: V) -> EnqueueOutcome {
         if self.router.push(proc, value) {
             EnqueueOutcome::Enqueued
@@ -117,6 +121,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
     }
 
     /// Dequeues on behalf of process `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc >= n`.
     pub fn dequeue(&self, proc: usize) -> DequeueOutcome<V> {
         match self.router.pop(proc) {
             Some(v) => DequeueOutcome::Dequeued(v),

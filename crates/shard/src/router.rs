@@ -7,6 +7,9 @@
 //! statistics counters — is **uncounted** (`std::sync::atomic`), so a
 //! routed operation spends exactly the lane's own counted budget:
 //! Theorem 1's six accesses for a solo stack op, seven for the queue.
+//! The statistics live in one [`CounterBlock`] with a row per process:
+//! a routed operation counts in its caller's row with a relaxed load
+//! and store.
 //!
 //! ## Probe protocol (relaxed mode)
 //!
@@ -37,14 +40,13 @@
 //! operation never returned, so it linearizes late). Killed
 //! operations can therefore neither leak nor double-count occupancy.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use cso_metrics::{Counter, Gauge, Registry};
+use cso_metrics::{CounterBlock, Gauge, Registry};
 
 use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
-use crate::elastic::Elastic;
+use crate::elastic::{Elastic, Resize};
 use crate::order::StrictOrder;
 
 /// What a lane must provide to be routable. Implemented for
@@ -82,25 +84,26 @@ pub struct RouterStats {
     pub active_lanes: usize,
 }
 
-/// Metric handles, attached once via `attach_metrics`.
+/// The gauges `attach_metrics` installs once; the event counts are
+/// the router's own [`CounterBlock`], registered directly.
 #[derive(Debug)]
 struct ShardMetrics {
-    steals: Counter,
-    spills: Counter,
-    heals: Counter,
     active: Gauge,
     size: Gauge,
-    splits: Gauge,
-    merges: Gauge,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    pushes: AtomicU64,
-    pops: AtomicU64,
-    steals: AtomicU64,
-    spills: AtomicU64,
-    heals: AtomicU64,
+/// The slots of the router's [`CounterBlock`] ([`RouterStats`]). All
+/// but `HEALS` are owned (row = the routed operation's process); a
+/// heal may run without one (`refresh_occupancy`), so `HEALS` is
+/// shared.
+mod slot {
+    pub const PUSHES: usize = 0;
+    pub const POPS: usize = 1;
+    pub const STEALS: usize = 2;
+    pub const SPILLS: usize = 3;
+    pub const SPLITS: usize = 4;
+    pub const MERGES: usize = 5;
+    pub const HEALS: usize = 6;
 }
 
 /// The shared router core.
@@ -109,7 +112,7 @@ pub(crate) struct Router<T: ShardLane> {
     agg: LaneAggregate,
     order: Option<StrictOrder>,
     elastic: Elastic,
-    counters: Counters,
+    counts: CounterBlock,
     metrics: OnceLock<ShardMetrics>,
     mode: ShardMode,
     capacity: usize,
@@ -173,7 +176,7 @@ impl<T: ShardLane> Router<T> {
             ),
             lanes,
             order,
-            counters: Counters::default(),
+            counts: CounterBlock::new(n),
             metrics: OnceLock::new(),
             mode: cfg.mode,
             capacity,
@@ -182,6 +185,7 @@ impl<T: ShardLane> Router<T> {
     }
 
     pub(crate) fn push(&self, proc: usize, value: T::Value) -> bool {
+        assert!(proc < self.n, "process id out of range");
         self.maybe_heal();
         let contended = self.elastic.enter();
         let _exit = ExitOnDrop {
@@ -191,15 +195,16 @@ impl<T: ShardLane> Router<T> {
             Some(ref order) => self.push_strict(order, proc, value),
             None => self.push_relaxed(proc, value),
         };
-        self.elastic.record(contended);
+        self.record_overlap(proc, contended);
         if pushed {
-            self.counters.pushes.fetch_add(1, Ordering::Relaxed);
+            self.counts.add_owned(proc, slot::PUSHES, 1);
         }
         self.publish_metrics();
         pushed
     }
 
     pub(crate) fn pop(&self, proc: usize) -> Option<T::Value> {
+        assert!(proc < self.n, "process id out of range");
         self.maybe_heal();
         let contended = self.elastic.enter();
         let _exit = ExitOnDrop {
@@ -209,12 +214,22 @@ impl<T: ShardLane> Router<T> {
             Some(ref order) => self.pop_strict(order, proc),
             None => self.pop_relaxed(proc),
         };
-        self.elastic.record(contended);
+        self.record_overlap(proc, contended);
         if popped.is_some() {
-            self.counters.pops.fetch_add(1, Ordering::Relaxed);
+            self.counts.add_owned(proc, slot::POPS, 1);
         }
         self.publish_metrics();
         popped
+    }
+
+    /// Feeds the elastic controller and counts a resulting split or
+    /// merge in `proc`'s row.
+    fn record_overlap(&self, proc: usize, contended: bool) {
+        match self.elastic.record(contended) {
+            Some(Resize::Split) => self.counts.add_owned(proc, slot::SPLITS, 1),
+            Some(Resize::Merge) => self.counts.add_owned(proc, slot::MERGES, 1),
+            None => {}
+        }
     }
 
     /// The lane probe order: the active prefix starting at the home
@@ -250,7 +265,7 @@ impl<T: ShardLane> Router<T> {
                 guard.push_lane(lane);
                 self.agg.record_push(lane);
                 if lane != home {
-                    self.spill();
+                    self.counts.add_owned(proc, slot::SPILLS, 1);
                 }
                 return true;
             }
@@ -272,7 +287,7 @@ impl<T: ShardLane> Router<T> {
                 self.agg.record_pop(lane);
                 let active = self.elastic.active();
                 if lane != proc % active {
-                    self.steal();
+                    self.counts.add_owned(proc, slot::STEALS, 1);
                 }
                 Some(v)
             }
@@ -338,7 +353,7 @@ impl<T: ShardLane> Router<T> {
         if ok {
             self.agg.record_push(lane);
             if lane != home {
-                self.spill();
+                self.counts.add_owned(proc, slot::SPILLS, 1);
             }
         }
         ok
@@ -391,24 +406,10 @@ impl<T: ShardLane> Router<T> {
         if value.is_some() {
             self.agg.record_pop(lane);
             if lane != home {
-                self.steal();
+                self.counts.add_owned(proc, slot::STEALS, 1);
             }
         }
         value
-    }
-
-    fn steal(&self) {
-        self.counters.steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.steals.inc();
-        }
-    }
-
-    fn spill(&self) {
-        self.counters.spills.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.spills.inc();
-        }
     }
 
     /// Heals the aggregate (and in strict mode the journal) if a
@@ -445,18 +446,13 @@ impl<T: ShardLane> Router<T> {
                 self.agg.resync(lane, cell.lane_len());
             }
         }
-        self.counters.heals.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.heals.inc();
-        }
+        self.counts.add(slot::HEALS, 1);
     }
 
     fn publish_metrics(&self) {
         if let Some(m) = self.metrics.get() {
             m.active.set(self.elastic.active() as f64);
             m.size.set(self.agg.len() as f64);
-            m.splits.set(self.elastic.splits() as f64);
-            m.merges.set(self.elastic.merges() as f64);
         }
     }
 
@@ -464,29 +460,45 @@ impl<T: ShardLane> Router<T> {
         for (i, lane) in self.lanes.iter().enumerate() {
             lane.lane_attach_metrics(registry, &format!("{prefix}_lane{i}"));
         }
-        let _ = self.metrics.set(ShardMetrics {
-            steals: registry.counter(&format!("{prefix}_router_steals_total")),
-            spills: registry.counter(&format!("{prefix}_router_spills_total")),
-            heals: registry.counter(&format!("{prefix}_router_heals_total")),
-            active: registry.gauge(&format!("{prefix}_router_active_lanes")),
-            size: registry.gauge(&format!("{prefix}_router_size")),
-            splits: registry.gauge(&format!("{prefix}_router_splits")),
-            merges: registry.gauge(&format!("{prefix}_router_merges")),
-        });
-        // Event counters mirror into the registry from attach time
-        // on (same first-attach-wins convention as the lanes).
+        let fresh = self
+            .metrics
+            .set(ShardMetrics {
+                active: registry.gauge(&format!("{prefix}_router_active_lanes")),
+                size: registry.gauge(&format!("{prefix}_router_size")),
+            })
+            .is_ok();
+        // First attach wins, as for the lanes. The counters are the
+        // router's own, so they count from construction.
+        if fresh {
+            for (slot, name) in [
+                (slot::STEALS, "steals_total"),
+                (slot::SPILLS, "spills_total"),
+                (slot::HEALS, "heals_total"),
+            ] {
+                registry.register_counter(
+                    &format!("{prefix}_router_{name}"),
+                    self.counts.counter(slot),
+                );
+            }
+            for (slot, name) in [(slot::SPLITS, "splits"), (slot::MERGES, "merges")] {
+                let counts = self.counts.clone();
+                registry.gauge_fn(&format!("{prefix}_router_{name}"), move || {
+                    counts.sum(slot) as f64
+                });
+            }
+        }
         self.publish_metrics();
     }
 
     pub(crate) fn stats(&self) -> RouterStats {
         RouterStats {
-            pushes: self.counters.pushes.load(Ordering::Relaxed),
-            pops: self.counters.pops.load(Ordering::Relaxed),
-            steals: self.counters.steals.load(Ordering::Relaxed),
-            spills: self.counters.spills.load(Ordering::Relaxed),
-            splits: self.elastic.splits(),
-            merges: self.elastic.merges(),
-            heals: self.counters.heals.load(Ordering::Relaxed),
+            pushes: self.counts.sum(slot::PUSHES),
+            pops: self.counts.sum(slot::POPS),
+            steals: self.counts.sum(slot::STEALS),
+            spills: self.counts.sum(slot::SPILLS),
+            splits: self.counts.sum(slot::SPLITS),
+            merges: self.counts.sum(slot::MERGES),
+            heals: self.counts.sum(slot::HEALS),
             active_lanes: self.elastic.active(),
         }
     }

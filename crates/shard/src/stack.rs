@@ -98,6 +98,10 @@ impl<V: StackValue> ShardedCsStack<V> {
     }
 
     /// Pushes `value` on behalf of process `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc >= n`.
     pub fn push(&self, proc: usize, value: V) -> PushOutcome {
         if self.router.push(proc, value) {
             PushOutcome::Pushed
@@ -107,6 +111,10 @@ impl<V: StackValue> ShardedCsStack<V> {
     }
 
     /// Pops on behalf of process `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc >= n`.
     pub fn pop(&self, proc: usize) -> PopOutcome<V> {
         match self.router.pop(proc) {
             Some(v) => PopOutcome::Popped(v),

@@ -5,7 +5,6 @@
 //! ref \[22\]). Line numbers in the code comments refer to the figure.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::combining::{CachePadded, NO_HELPER};
@@ -13,14 +12,17 @@ use cso_memory::exchange::Exchanger;
 use cso_memory::fail_point;
 use cso_memory::packed::{SlotWord, TopWord};
 use cso_memory::reg::Reg64;
+use cso_metrics::{thread_rows, CounterBlock};
 use cso_trace::{probe, probe_if, Event};
 
 use crate::outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};
 use crate::value::StackValue;
 
-/// Abort/attempt counters for experiment E2 (kept in plain atomics —
-/// they are diagnostics, not part of the algorithm's shared-memory
-/// footprint).
+/// Abort/attempt counters for experiment E2: sums over the stack's
+/// shared-mode [`CounterBlock`] (uncounted diagnostics, not part of the
+/// algorithm's shared-memory footprint; the weak operations take no
+/// process id, so each count is one relaxed `fetch_add` on the calling
+/// thread's home row, never a word every thread writes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbortStats {
     /// `weak_push` invocations.
@@ -94,11 +96,9 @@ pub struct AbortableStack<V> {
     /// ([`Abortable::try_eliminate`]): inverse push/pop pairs exchange
     /// values here without touching `TOP` at all.
     exchanger: Exchanger<u32>,
-    // Diagnostics (not shared-memory accesses).
-    push_attempts: AtomicU64,
-    push_aborts: AtomicU64,
-    pop_attempts: AtomicU64,
-    pop_aborts: AtomicU64,
+    /// [`AbortStats`] counters (diagnostics, not shared-memory
+    /// accesses).
+    counts: CounterBlock,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
@@ -111,6 +111,12 @@ const BOTTOM: u32 = 0;
 /// pairing per slot at a time is plenty below ~16 threads, and the
 /// ladder falls through to the lock anyway when slots are contended.
 const ELIM_SLOTS: usize = 4;
+
+/// [`AbortStats`] slots of the stack's counter block.
+const PUSH_ATTEMPTS: usize = 0;
+const PUSH_ABORTS: usize = 1;
+const POP_ATTEMPTS: usize = 2;
+const POP_ABORTS: usize = 3;
 
 impl<V: StackValue> AbortableStack<V> {
     /// Creates an empty stack of capacity `capacity`.
@@ -147,10 +153,7 @@ impl<V: StackValue> AbortableStack<V> {
             top: CachePadded::new(top),
             slots,
             exchanger: Exchanger::new(ELIM_SLOTS),
-            push_attempts: AtomicU64::new(0),
-            push_aborts: AtomicU64::new(0),
-            pop_attempts: AtomicU64::new(0),
-            pop_aborts: AtomicU64::new(0),
+            counts: CounterBlock::new(thread_rows()),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -212,9 +215,9 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 01 and 06; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_push(&self, value: V) -> Result<PushOutcome, Aborted> {
-        self.push_attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(PUSH_ATTEMPTS, 1);
         fail_point!("stack::push", {
-            self.push_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(PUSH_ABORTS, 1);
             return Err(Aborted);
         });
         // Line 01: (index, value, seqnb) ← TOP.
@@ -241,7 +244,7 @@ impl<V: StackValue> AbortableStack<V> {
         if self.top.cas_validated(observed.pack(), newtop.pack()) {
             Ok(PushOutcome::Pushed)
         } else {
-            self.push_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(PUSH_ABORTS, 1);
             probe!(Event::CasFail("stack::top"));
             Err(Aborted)
         }
@@ -255,9 +258,9 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 08 and 13; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_pop(&self) -> Result<PopOutcome<V>, Aborted> {
-        self.pop_attempts.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(POP_ATTEMPTS, 1);
         fail_point!("stack::pop", {
-            self.pop_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(POP_ABORTS, 1);
             return Err(Aborted);
         });
         // Line 08: (index, value, seqnb) ← TOP.
@@ -283,7 +286,7 @@ impl<V: StackValue> AbortableStack<V> {
         if self.top.cas_validated(observed.pack(), newtop.pack()) {
             Ok(PopOutcome::Popped(V::from_bits(observed.value)))
         } else {
-            self.pop_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(POP_ABORTS, 1);
             probe!(Event::CasFail("stack::top"));
             Err(Aborted)
         }
@@ -292,19 +295,20 @@ impl<V: StackValue> AbortableStack<V> {
     /// Snapshot of the attempt/abort counters (experiment E2).
     pub fn abort_stats(&self) -> AbortStats {
         AbortStats {
-            push_attempts: self.push_attempts.load(Ordering::Relaxed),
-            push_aborts: self.push_aborts.load(Ordering::Relaxed),
-            pop_attempts: self.pop_attempts.load(Ordering::Relaxed),
-            pop_aborts: self.pop_aborts.load(Ordering::Relaxed),
+            push_attempts: self.counts.sum(PUSH_ATTEMPTS),
+            push_aborts: self.counts.sum(PUSH_ABORTS),
+            pop_attempts: self.counts.sum(POP_ATTEMPTS),
+            pop_aborts: self.counts.sum(POP_ABORTS),
         }
     }
 
-    /// Resets the attempt/abort counters.
+    /// Resets the attempt/abort counters to zero: the counter block
+    /// [`Self::abort_stats`] reads, which is the only copy of these
+    /// counts (no registry series mirrors or exports them). Racy
+    /// against in-flight operations: reset while quiescent for exact
+    /// zeros.
     pub fn reset_abort_stats(&self) {
-        self.push_attempts.store(0, Ordering::Relaxed);
-        self.push_aborts.store(0, Ordering::Relaxed);
-        self.pop_attempts.store(0, Ordering::Relaxed);
-        self.pop_aborts.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 
     /// Combining-batch totals observed through the

@@ -185,7 +185,11 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
         self.inner.inner().eliminated_pairs()
     }
 
-    /// Resets the path statistics.
+    /// Resets every statistic of the contention-sensitive layer — path,
+    /// fault and combining counts — to zero (see
+    /// [`ContentionSensitive::reset_stats`]). These are the same
+    /// counters [`Self::attach_metrics`] exports, so the exported
+    /// `_total` series restart from zero as well.
     pub fn reset_path_stats(&self) {
         self.inner.reset_stats()
     }

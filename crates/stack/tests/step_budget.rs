@@ -25,6 +25,16 @@ const STRONG_BUDGET: u64 = 6;
 /// Figure 1's cost for a solo weak operation.
 const WEAK_COST: u64 = 5;
 
+/// Serializes the audits. With the `chaos` feature two tests arm fail
+/// points, and the fail-point registry is process-global: an armed
+/// `cs::fast` veto would push another test's audited operation onto the
+/// slow path mid-audit.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The access-counting substrate this whole file leans on must be the
 /// zero-cost passthrough in a default build — the `model` runtime is
 /// opt-in and would invalidate the bit-exact totals below.
@@ -35,31 +45,43 @@ fn default_build_runs_the_std_runtime() {
 
 #[test]
 fn contention_free_strong_ops_stay_within_six_accesses() {
-    let cs: CsStack<u32> = CsStack::new(1024, 4);
-    // First op on a fresh object may take a boundary path; warm up.
-    cs.push(0, 0);
-    cs.pop(0);
+    let _serial = serial();
+    // With and without a metrics registry attached: the statistics are
+    // uncounted per-process rows either way.
+    for attached in [false, true] {
+        let cs: CsStack<u32> = CsStack::new(1024, 4);
+        if attached {
+            cs.attach_metrics(&cso_metrics::Registry::new(), "budget");
+        }
+        // First op on a fresh object may take a boundary path; warm up.
+        cs.push(0, 0);
+        cs.pop(0);
 
-    let auditor = StepAuditor::strict(STRONG_BUDGET);
-    for i in 0..10_000u32 {
-        assert_eq!(auditor.audit(|| cs.push(0, i)), PushOutcome::Pushed);
-        assert_eq!(auditor.audit(|| cs.pop(0)), PopOutcome::Popped(i));
+        let auditor = StepAuditor::strict(STRONG_BUDGET);
+        for i in 0..10_000u32 {
+            assert_eq!(auditor.audit(|| cs.push(0, i)), PushOutcome::Pushed);
+            assert_eq!(auditor.audit(|| cs.pop(0)), PopOutcome::Popped(i));
+        }
+
+        let report = auditor.report();
+        assert_eq!(report.checked, 20_000);
+        assert!(report.clean());
+        // Solo the cost is not merely bounded but exact.
+        assert_eq!(
+            report.worst, STRONG_BUDGET,
+            "Theorem 1 is tight (metrics attached: {attached})"
+        );
+        assert_eq!(
+            cs.path_stats().locked,
+            0,
+            "Theorem 1: contention-free operations take no lock"
+        );
     }
-
-    let report = auditor.report();
-    assert_eq!(report.checked, 20_000);
-    assert!(report.clean());
-    // Solo the cost is not merely bounded but exact.
-    assert_eq!(report.worst, STRONG_BUDGET, "Theorem 1 is tight");
-    assert_eq!(
-        cs.path_stats().locked,
-        0,
-        "Theorem 1: contention-free operations take no lock"
-    );
 }
 
 #[test]
 fn weak_ops_cost_exactly_five_accesses() {
+    let _serial = serial();
     let stack: AbortableStack<u32> = AbortableStack::new(1024);
     stack.weak_push(0).expect("solo never aborts");
     stack.weak_pop().expect("solo never aborts");
@@ -89,6 +111,7 @@ fn weak_ops_cost_exactly_five_accesses() {
 /// in uncounted memory.
 #[test]
 fn combining_config_keeps_theorem_one_exact() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::COMBINING);
     cs.push(0, 0);
     cs.pop(0);
@@ -116,6 +139,7 @@ fn combining_config_keeps_theorem_one_exact() {
 /// (backoff state, exchanger slots) lives in uncounted memory.
 #[test]
 fn ladder_config_keeps_theorem_one_exact() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::LADDER);
     cs.push(0, 0);
     cs.pop(0);
@@ -143,6 +167,7 @@ fn ladder_config_keeps_theorem_one_exact() {
 #[test]
 fn ladder_rescued_ops_stay_within_one_extra_weak_attempt() {
     use cso_memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
 
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::LADDER);
     cs.push(0, 0);
@@ -170,6 +195,7 @@ fn ladder_rescued_ops_stay_within_one_extra_weak_attempt() {
 /// it; after which the fast path is *exactly* six accesses again.
 #[test]
 fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::COMBINING);
     cs.push(0, 0);
     cs.pop(0);
@@ -227,6 +253,7 @@ fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
 #[cfg(feature = "trace")]
 #[test]
 fn concurrent_fast_path_completions_stay_within_six_accesses() {
+    let _serial = serial();
     use std::sync::Arc;
 
     const THREADS: usize = 4;
@@ -263,6 +290,7 @@ fn concurrent_fast_path_completions_stay_within_six_accesses() {
 #[test]
 fn locked_path_stays_within_documented_bound() {
     use cso_memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
 
     let locked_budget = cso_core::LOCKED_SOLO_ACCESS_BOUND + WEAK_COST;
     let cs: CsStack<u32> = CsStack::new(1024, 4);
