@@ -69,70 +69,16 @@ fn main() {
     }
 
     table.print();
-    let wall_clock_table = table;
     println!("\nRow `threads = 1` is the paper's solo-success guarantee (rate must be 0).");
     println!("NOTE: on few-core hosts threads interleave only at scheduler quanta, so");
-    println!("wall-clock contention windows are rare; part 2 interleaves per access.\n");
-
-    // ----------------------------------------------------------------
-    // Part 2: per-access interleaving in the virtual-memory model —
-    // the hardware-independent abort-rate curve.
-    // ----------------------------------------------------------------
-    println!("E2 part 2: abort rate under per-access random interleaving (model)");
-    println!("(weak stack machines, 400 random schedules per cell)\n");
-
-    use cso_explore::algos::stack::{stack_layout, weak_stack_factory};
-    use cso_explore::explorer::{explore_random, ExploreConfig};
-    use cso_lincheck::specs::stack::SpecStackOp;
-
-    let mut table = Table::new(&["procs", "ops", "aborted", "abort rate"]);
-    for procs in 1..=6usize {
-        let layout = stack_layout(64);
-        let scripts: Vec<Vec<SpecStackOp>> = (0..procs)
-            .map(|p| {
-                vec![
-                    SpecStackOp::Push(p as u32),
-                    SpecStackOp::Pop,
-                    SpecStackOp::Push(100 + p as u32),
-                    SpecStackOp::Pop,
-                ]
-            })
-            .collect();
-        let mut total_ops = 0u64;
-        let mut aborted = 0u64;
-        explore_random(
-            &layout.initial_mem_with(&[1, 2, 3, 4]),
-            &scripts,
-            weak_stack_factory(layout),
-            &ExploreConfig::default(),
-            400,
-            0xE2,
-            |t| {
-                total_ops += t.op_steps.len() as u64;
-                aborted += t.op_steps.iter().filter(|s| s.aborted).count() as u64;
-            },
-        );
-        if procs == 1 {
-            assert_eq!(aborted, 0, "solo weak operations must never abort");
-        }
-        table.row(vec![
-            procs.to_string(),
-            total_ops.to_string(),
-            aborted.to_string(),
-            fmt_pct(aborted as f64 / total_ops as f64),
-        ]);
-    }
-    table.print();
+    println!("wall-clock contention windows are rare; `e2e4_interleaved` (needs the");
+    println!("`model` feature) interleaves per access.");
 
     BenchReport::new("e2_abort_rate")
         .config("bench_ms", cell_duration().as_millis() as u64)
         .config("mix", "50/50")
-        .config("model_schedules", 400u64)
-        .table("wall_clock", &wall_clock_table)
-        .table("model_interleaved", &table)
+        .table("wall_clock", &table)
         .write();
 
-    println!("\nExpected shape: 0% solo, growing with the number of interleaved");
-    println!("processes — ⊥ is the price of contention, and only of contention.");
     cso_bench::tracing::emit("e2_abort_rate");
 }

@@ -48,76 +48,17 @@ fn main() {
     }
 
     table.print();
-    let wall_clock_table = table;
     println!("\nRow `threads = 1` is Theorem 1's lock-free fast path (must be 0.00%).");
     println!("Longer think time = less interference = smaller lock fraction.");
     println!("NOTE: on few-core hosts wall-clock interleaving is quantum-grained, so");
-    println!("the measured fractions under-state contention; part 2 interleaves per");
-    println!("shared access in the virtual-memory model.\n");
-
-    // ----------------------------------------------------------------
-    // Part 2: per-access interleaving of the full Figure 3 machine.
-    // An operation that completed in exactly 6 accesses took the fast
-    // path; more means it retried or went through the lock.
-    // ----------------------------------------------------------------
-    println!("E4 part 2: slow-path fraction under per-access random interleaving");
-    println!("(Figure 3 machines, 400 random schedules per cell)\n");
-
-    use cso_explore::algos::cs_stack::{cs_stack_layout, strong_stack_factory};
-    use cso_explore::explorer::{explore_random, ExploreConfig};
-    use cso_lincheck::specs::stack::SpecStackOp;
-
-    let mut table = Table::new(&["procs", "ops", "fast (6 acc)", "slow", "slow fraction"]);
-    for procs in 1..=4usize {
-        let layout = cs_stack_layout(64, procs);
-        let scripts: Vec<Vec<SpecStackOp>> = (0..procs)
-            .map(|p| vec![SpecStackOp::Push(p as u32), SpecStackOp::Pop])
-            .collect();
-        let mut fast = 0u64;
-        let mut slow = 0u64;
-        let config = ExploreConfig {
-            max_steps_per_op: 20_000,
-            max_executions: usize::MAX,
-        };
-        explore_random(
-            &layout.initial_mem_with(&[1, 2]),
-            &scripts,
-            strong_stack_factory(layout),
-            &config,
-            400,
-            0xE4,
-            |t| {
-                for op in &t.op_steps {
-                    if op.steps == 6 {
-                        fast += 1;
-                    } else {
-                        slow += 1;
-                    }
-                }
-            },
-        );
-        if procs == 1 {
-            assert_eq!(slow, 0, "a solo process never leaves the fast path");
-        }
-        table.row(vec![
-            procs.to_string(),
-            (fast + slow).to_string(),
-            fast.to_string(),
-            slow.to_string(),
-            fmt_pct(slow as f64 / (fast + slow) as f64),
-        ]);
-    }
-    table.print();
+    println!("the measured fractions under-state contention; `e2e4_interleaved`");
+    println!("(needs the `model` feature) interleaves per shared access.");
 
     BenchReport::new("e4_lock_fraction")
         .config("bench_ms", cell_duration().as_millis() as u64)
         .config("mix", "50/50")
-        .config("model_schedules", 400u64)
-        .table("wall_clock", &wall_clock_table)
-        .table("model_interleaved", &table)
+        .table("wall_clock", &table)
         .write();
 
-    println!("\nContention-sensitivity, quantified: the lock engages exactly as often");
-    println!("as operations actually interfere.");
     cso_bench::tracing::emit("e4_lock_fraction");
 }

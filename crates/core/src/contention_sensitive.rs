@@ -43,7 +43,7 @@
 //! each event is counted exactly once.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -52,6 +52,7 @@ use cso_memory::backoff::{CasBackoff, Deadline, Spinner};
 use cso_memory::combining::{CachePadded, PubRecord, RecordState, NO_HELPER};
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
+use cso_memory::proto::ProtoU32;
 use cso_memory::reg::RegBool;
 use cso_metrics::{CounterBlock, Gauge, Registry, Timer};
 use cso_trace::{probe, probe_if, Event};
@@ -503,15 +504,15 @@ pub struct RecoveryStats {
 }
 
 /// Private crash-recovery state, present when [`CsConfig::recovery`]
-/// is set. Everything here is a plain (uncounted) atomic or an
-/// uncounted lease read: recovery must not perturb Theorem 1's counted
-/// budgets.
+/// is set. Everything here is an uncounted protocol word
+/// (`cso_memory::proto`) or an uncounted lease read: recovery must not
+/// perturb Theorem 1's counted budgets.
 struct RecoveryInner {
     /// The per-process failure detector, shared with the lock.
     live: Arc<Liveness>,
     policy: RecoveryPolicy,
     /// High-water degradation rung (see [`RecoveryStats::degraded`]).
-    degraded: AtomicU32,
+    degraded: ProtoU32,
 }
 
 /// Figure 3 of the paper, generalized to any [`Abortable`] object:
@@ -755,7 +756,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             RecoveryInner {
                 live,
                 policy,
-                degraded: AtomicU32::new(0),
+                degraded: ProtoU32::new(0),
             }
         });
         ContentionSensitive {

@@ -467,3 +467,71 @@ mod tests {
         }
     }
 }
+
+/// The HLM arena's representation invariant on the real deque, over
+/// the schedules of racing attempts at both ends: at quiescence the
+/// slots read `LN⁺ DATA* RN⁺` — a left-null block with its sentinel, the
+/// values, a right-null block with its sentinel — and the values are
+/// exactly what a solo drain then pops.
+#[cfg(all(test, feature = "model"))]
+mod model_invariants {
+    use super::*;
+    use cso_sched::{spawn, Explorer};
+    use std::sync::Arc;
+
+    /// The values left to right; panics unless the arena is
+    /// `LN⁺ DATA* RN⁺`.
+    fn arena_values(deque: &AbortableDeque<u32>) -> Vec<u32> {
+        let words: Vec<DequeWord> = deque
+            .slots
+            .iter()
+            .map(|s| DequeWord::unpack(s.peek()))
+            .collect();
+        let left = words
+            .iter()
+            .take_while(|w| w.state == DequeState::LeftNull)
+            .count();
+        let data = words[left..]
+            .iter()
+            .take_while(|w| w.state == DequeState::Data)
+            .count();
+        let right = &words[left + data..];
+        assert!(
+            left >= 1
+                && !right.is_empty()
+                && right.iter().all(|w| w.state == DequeState::RightNull),
+            "LN+ DATA* RN+ violated: {words:?}"
+        );
+        words[left..left + data].iter().map(|w| w.value).collect()
+    }
+
+    #[test]
+    fn arena_is_ln_data_rn() {
+        let report = Explorer::exhaustive()
+            .with_preemption_bound(Some(3))
+            .explore(|| {
+                let deque = Arc::new(AbortableDeque::<u32>::new(3));
+                deque.try_push(End::Right, 5).unwrap();
+                let child = {
+                    let deque = Arc::clone(&deque);
+                    spawn(move || {
+                        let _ = deque.try_push(End::Left, 2);
+                        let _ = deque.try_pop(End::Right);
+                    })
+                };
+                let _ = deque.try_push(End::Right, 1);
+                let _ = deque.try_pop(End::Left);
+                child.join();
+                let content = arena_values(&deque);
+                let mut drained = Vec::new();
+                while let DequePopOutcome::Popped(v) = deque.try_pop(End::Left).expect("solo") {
+                    drained.push(v);
+                }
+                assert_eq!(content, drained);
+                assert!(arena_values(&deque).is_empty());
+            });
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+        assert_eq!(report.pruned, 0, "{report}");
+    }
+}

@@ -1,5 +1,6 @@
 //! Ready-made sequential specifications for the paper's objects.
 
+pub mod deque;
 pub mod queue;
 pub mod register;
 pub mod relaxed;

@@ -39,13 +39,14 @@
 //! ([`StarvationFree::is_poisoned`]) rather than mask a correlated
 //! failure forever.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use cso_memory::backoff::{Deadline, Spinner};
 use cso_memory::combining::CachePadded;
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
+use cso_memory::proto::{ProtoBool, ProtoU32, ProtoUsize};
 use cso_memory::reg::{RegBool, RegUsize};
 use cso_metrics::{CounterBlock, Registry};
 use cso_trace::{probe, probe_if, Event, NO_TID};
@@ -56,8 +57,10 @@ use crate::raw::{ProcLock, RawLock};
 const NO_HOLDER: usize = usize::MAX;
 
 /// Crash-recovery state, attached once via
-/// [`StarvationFree::enable_recovery`]. All plain (uncounted) atomics:
-/// custody tracking must not perturb the paper's counted budgets.
+/// [`StarvationFree::enable_recovery`]. All uncounted protocol words
+/// (`cso_memory::proto`): custody tracking must not perturb the
+/// paper's counted budgets, but its races are yield points under the
+/// model runtime.
 #[derive(Debug)]
 struct RecoveryState {
     live: Arc<Liveness>,
@@ -65,13 +68,13 @@ struct RecoveryState {
     /// Identity currently holding the inner lock (`NO_HOLDER` = free).
     /// Written by the holder on acquire; surrendered by CAS — exactly
     /// one of {holder's unlock, a successor's seizure} wins it.
-    holder: AtomicUsize,
+    holder: ProtoUsize,
     /// Succession critical section: `recoverer + 1`, `0` = free. The
     /// lease itself is breakable (a recoverer can die too).
-    recovering: AtomicUsize,
+    recovering: ProtoUsize,
     /// Set once the succession budget is exhausted: the lock is
     /// unrecoverable and every `lock_recovering` fails fast.
-    failed: AtomicBool,
+    failed: ProtoBool,
 }
 
 /// The outcome of one [`StarvationFree::try_succeed`] attempt.
@@ -172,14 +175,14 @@ pub struct StarvationFree<L> {
     recovery: OnceLock<RecoveryState>,
     /// Trace-thread id of the last releaser, consumed (swapped back to
     /// [`NO_TID`]) by the next acquirer to emit
-    /// [`Event::HandoffFrom`]. A plain (uncounted) atomic: causal
+    /// [`Event::HandoffFrom`]. An uncounted protocol word: causal
     /// stamps must not perturb the paper's counted budgets. Padded —
     /// every release writes it while waiters hammer the inner word.
-    prev_tid: CachePadded<AtomicU32>,
+    prev_tid: CachePadded<ProtoU32>,
     /// Trace-thread id of the current holder's OS thread (uncounted).
     /// Read by a successor after winning the custody CAS to emit
     /// [`Event::CustodyFrom`] against the corpse's thread.
-    holder_tid: CachePadded<AtomicU32>,
+    holder_tid: CachePadded<ProtoU32>,
 }
 
 impl<L: RawLock> StarvationFree<L> {
@@ -199,8 +202,8 @@ impl<L: RawLock> StarvationFree<L> {
             turn: CachePadded::new(RegUsize::new(0)),
             counts: CounterBlock::new(n),
             recovery: OnceLock::new(),
-            prev_tid: CachePadded::new(AtomicU32::new(NO_TID)),
-            holder_tid: CachePadded::new(AtomicU32::new(NO_TID)),
+            prev_tid: CachePadded::new(ProtoU32::new(NO_TID)),
+            holder_tid: CachePadded::new(ProtoU32::new(NO_TID)),
         }
     }
 
@@ -354,9 +357,9 @@ impl<L: RawLock> StarvationFree<L> {
         let _ = self.recovery.set(RecoveryState {
             live,
             policy,
-            holder: AtomicUsize::new(NO_HOLDER),
-            recovering: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
+            holder: ProtoUsize::new(NO_HOLDER),
+            recovering: ProtoUsize::new(0),
+            failed: ProtoBool::new(false),
         });
     }
 

@@ -60,13 +60,17 @@
 //! visible to the claimer and the response write is visible to the
 //! owner.
 //!
-//! Statuses live in plain (uncounted) atomics: the publication list is
-//! an engineering substrate, not part of the paper's shared-memory
-//! footprint, so it must not perturb the step-count experiments the
-//! [`crate::reg`] registers feed.
+//! Statuses live in uncounted [`crate::proto`] words: the publication
+//! list is an engineering substrate, not part of the paper's
+//! shared-memory footprint, so it must not perturb the step-count
+//! experiments the [`crate::reg`] registers feed. Its races are
+//! protocol, though, so every status access is a yield point under
+//! the model runtime.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
+
+use crate::proto::ProtoU32;
 
 const EMPTY: u32 = 0;
 const POSTED: u32 = 1;
@@ -144,11 +148,11 @@ pub const NO_HELPER: u32 = u32::MAX;
 /// back. See the module docs for the protocol and its safety argument.
 #[derive(Debug)]
 pub struct PubRecord<Op, Resp> {
-    status: AtomicU32,
+    status: ProtoU32,
     /// Trace thread id of the combiner that last completed this
     /// record, [`NO_HELPER`] initially. An uncounted engineering-side
     /// stamp (like `status`): never part of the paper's step budgets.
-    helper: AtomicU32,
+    helper: ProtoU32,
     op: UnsafeCell<*const Op>,
     resp: UnsafeCell<Option<Resp>>,
 }
@@ -168,8 +172,8 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     #[must_use]
     pub fn new() -> PubRecord<Op, Resp> {
         PubRecord {
-            status: AtomicU32::new(EMPTY),
-            helper: AtomicU32::new(NO_HELPER),
+            status: ProtoU32::new(EMPTY),
+            helper: ProtoU32::new(NO_HELPER),
             op: UnsafeCell::new(std::ptr::null()),
             resp: UnsafeCell::new(None),
         }

@@ -25,6 +25,9 @@
 //!   contention-sensitive escalation ladder;
 //! * [`epoch`] — a minimal epoch-based reclamation scheme for the
 //!   node-allocating baselines (Treiber, Michael–Scott, elimination);
+//! * [`proto`] — uncounted protocol words (exchanger slots, record
+//!   statuses, leases, custody cells): plain atomics that become yield
+//!   points under the `model` feature;
 //! * [`liveness`] — a lease-based failure detector (announce / beat /
 //!   exit, plus `suspect`) and the [`liveness::RecoveryPolicy`] that
 //!   governs crash recovery of the locked slow path;
@@ -60,6 +63,7 @@ pub mod epoch;
 pub mod exchange;
 pub mod liveness;
 pub mod packed;
+pub mod proto;
 pub mod reg;
 pub mod registry;
 pub mod runtime;

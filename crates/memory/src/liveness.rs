@@ -18,12 +18,14 @@
 //! succession transfers custody with a CAS the displaced holder can
 //! observe on unlock.
 //!
-//! All state here lives in **plain `std` atomics, not the counted
-//! [`crate::reg`] registers**. Theorem 1's step budgets (six shared
-//! accesses on the solo fast path, one added by the transformation)
-//! count accesses to the *simulation's* base registers; the liveness
-//! lease is harness machinery, like the poisoning counters, and must
-//! stay invisible to those budgets.
+//! All state here lives in **uncounted [`crate::proto`] words, not
+//! the counted [`crate::reg`] registers**. Theorem 1's step budgets
+//! (six shared accesses on the solo fast path, one added by the
+//! transformation) count accesses to the *simulation's* base
+//! registers; the liveness lease is harness machinery and must stay
+//! invisible to those budgets. Suspicion races with the suspect's own
+//! progress, though, so every lease access is a yield point under the
+//! model runtime.
 //!
 //! ```
 //! use cso_memory::liveness::Liveness;
@@ -39,11 +41,12 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::combining::CachePadded;
+use crate::proto::{ProtoBool, ProtoU64};
 
 /// One process's lease.
 #[derive(Debug, Default)]
@@ -52,14 +55,14 @@ struct Slot {
     /// [`Liveness::announce`] and [`Liveness::exit`], even otherwise.
     /// Incremented on both transitions, so a reader can detect a
     /// crash/re-announce cycle it slept through.
-    epoch: AtomicU64,
+    epoch: ProtoU64,
     /// Nanoseconds (since the registry's creation) of the last
     /// heartbeat. Only meaningful while the epoch is odd.
-    last_beat_ns: AtomicU64,
+    last_beat_ns: ProtoU64,
     /// Explicitly declared dead (supervisor reaped the thread, or a
     /// chaos harness killed it). Overrides the lease: the process is
     /// suspect regardless of grace.
-    dead: AtomicBool,
+    dead: ProtoBool,
 }
 
 /// A lease-based failure detector over `n` process identities.

@@ -17,9 +17,9 @@
 //! A 16-bit tag wraps after 65 536 same-slot operations. An ABA
 //! violation requires a thread to stall across *exactly* a multiple of
 //! 2¹⁶ operations on one slot and then have its stale CAS win — the
-//! classical bounded-tag caveat. The model checker in `cso-explore`
-//! runs the same algorithms with unbounded tags, so the logic is
-//! validated independently of tag width.
+//! classical bounded-tag caveat. The model tests run the production
+//! code with these very tags, so the tagged-word behaviour itself is
+//! what they explore; wrapping is exercised by `tests/wraparound.rs`.
 //!
 //! # Layout
 //!

@@ -39,10 +39,13 @@ pub trait Runtime {
     /// says which). Under the model runtime this is the yield point.
     fn before_access(kind: AccessKind);
 
-    /// Called before every *uncounted* peek (`peek`, `write_lazy`).
-    /// Uncounted accesses are free in the paper's cost model but still
-    /// touch shared memory, so the model runtime schedules them too —
-    /// otherwise racy peek-based code would be invisible to the
+    /// Called before every *uncounted* access: register peeks
+    /// (`peek`, `cas_validated`, `write_lazy`) and every access to a
+    /// protocol word ([`crate::proto`]). Uncounted accesses are free in
+    /// the paper's cost model but still touch shared memory, so the
+    /// model runtime schedules them too — otherwise racy peek-based
+    /// code and the engineering protocols (exchanger, publication
+    /// records, leases, lock custody) would be invisible to the
     /// explorer.
     fn before_peek();
 

@@ -4,9 +4,11 @@
 //! running *production* code through exhaustively enumerated (or
 //! seeded-random, or replayed) interleavings. It is the engine behind
 //! the `model` feature of `cso-memory`: when that feature is on, every
-//! counted register access in `cso_memory::reg` calls [`yield_access`]
-//! and every spin-wait calls [`yield_spin`], turning each shared-memory
-//! step into a scheduling decision this crate controls.
+//! counted register access in `cso_memory::reg` (and every uncounted
+//! peek and protocol-word access in `cso_memory::proto`) calls
+//! [`yield_access`] and every spin-wait calls [`yield_spin`], turning
+//! each shared-memory step into a scheduling decision this crate
+//! controls.
 //!
 //! ## How it works
 //!
@@ -34,6 +36,10 @@
 //! - **Replay.** A violation prints a dot-separated branch trace;
 //!   [`Explorer::replay`] forces a new run through it, reproducing the
 //!   failure deterministically.
+//! - **Crashes.** [`crash_after`] stops a spawned thread forever after
+//!   k more yield points; a test loops k to crash an operation
+//!   at every step. A survivor blocked behind the corpse is pruned by
+//!   the step budget and shows up in [`Report::pruned`].
 //!
 //! ## Determinism contract
 //!
@@ -53,7 +59,9 @@ mod session;
 pub use explore::{Explorer, Mode, Report, Violation};
 pub use path::{format_trace, parse_trace, Decision};
 pub use rng::SplitMix64;
-pub use session::{active, chaos_draw, entropy_seed, spawn, yield_access, yield_spin, JoinHandle};
+pub use session::{
+    active, chaos_draw, crash_after, entropy_seed, spawn, yield_access, yield_spin, JoinHandle,
+};
 
 #[cfg(test)]
 mod tests {
@@ -132,6 +140,140 @@ mod tests {
         report.assert_ok();
         assert!(report.exhausted);
         assert!(report.schedules > 1, "two threads must branch");
+    }
+
+    /// Every interleaving of two threads of two steps each is run:
+    /// all C(4, 2) = 6 orders of the steps show up. (Thread exit and
+    /// join are scheduling points too, so some orders recur.)
+    #[test]
+    fn exhaustive_covers_every_interleaving_of_two_two_step_threads() {
+        let orders = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let report = {
+            let orders = Arc::clone(&orders);
+            Explorer::exhaustive()
+                .with_preemption_bound(None)
+                .explore(move || {
+                    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+                    let steps = |log: &std::sync::Mutex<Vec<u8>>, me: u8| {
+                        for _ in 0..2 {
+                            yield_access();
+                            log.lock().unwrap().push(me);
+                        }
+                    };
+                    let t = {
+                        let log = Arc::clone(&log);
+                        spawn(move || steps(&log, 1))
+                    };
+                    steps(&log, 0);
+                    t.join();
+                    let order = log.lock().unwrap().clone();
+                    orders.lock().unwrap().push(order);
+                })
+        };
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+        let mut orders = orders.lock().unwrap().clone();
+        assert_eq!(orders.len(), report.schedules);
+        orders.sort();
+        orders.dedup();
+        let all: Vec<Vec<u8>> = vec![
+            vec![0, 0, 1, 1],
+            vec![0, 1, 0, 1],
+            vec![0, 1, 1, 0],
+            vec![1, 0, 0, 1],
+            vec![1, 0, 1, 0],
+            vec![1, 1, 0, 0],
+        ];
+        assert_eq!(orders, all);
+    }
+
+    #[test]
+    fn solo_body_has_a_single_schedule() {
+        let report = Explorer::exhaustive().explore(|| {
+            let x = AtomicU64::new(0);
+            for _ in 0..5 {
+                yield_access();
+                x.fetch_add(1, Ordering::SeqCst);
+            }
+            assert_eq!(x.load(Ordering::SeqCst), 5);
+        });
+        report.assert_ok();
+        assert!(report.exhausted);
+        assert_eq!(report.schedules, 1);
+    }
+
+    /// A thread that busy-waits through counted accesses (not
+    /// `yield_spin`) diverges in the schedule that never runs its
+    /// partner; the step budget prunes that schedule instead of
+    /// hanging, and the others still finish.
+    #[test]
+    fn step_budget_prunes_divergent_schedules() {
+        let report = Explorer::exhaustive()
+            .with_preemption_bound(Some(1))
+            .with_max_steps(64)
+            .explore(|| {
+                let flag = Arc::new(AtomicBool::new(false));
+                let t = {
+                    let flag = Arc::clone(&flag);
+                    spawn(move || {
+                        yield_access();
+                        flag.store(true, Ordering::SeqCst);
+                    })
+                };
+                loop {
+                    yield_access();
+                    if flag.load(Ordering::SeqCst) {
+                        break;
+                    }
+                }
+                t.join();
+            });
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+        assert!(report.pruned > 0, "the divergent schedule: {report}");
+        assert!(report.schedules > report.pruned, "{report}");
+    }
+
+    /// A one-shot CAS attempt (read, then CAS; ⊥ when the CAS fails):
+    /// serial schedules never abort it, some interleaving does, and an
+    /// abort always leaves the other attempt's effect in place.
+    #[test]
+    fn aborts_appear_only_in_interleaved_schedules() {
+        fn attempt(x: &AtomicU64) -> bool {
+            yield_access();
+            let seen = x.load(Ordering::SeqCst);
+            yield_access();
+            x.compare_exchange(seen, seen + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        }
+        let run = |bound: Option<usize>| {
+            let aborted = Arc::new(AtomicBool::new(false));
+            let report = {
+                let aborted = Arc::clone(&aborted);
+                Explorer::exhaustive()
+                    .with_preemption_bound(bound)
+                    .explore(move || {
+                        let x = Arc::new(AtomicU64::new(0));
+                        let t = {
+                            let x = Arc::clone(&x);
+                            spawn(move || attempt(&x))
+                        };
+                        let mine = attempt(&x);
+                        let theirs = t.join();
+                        let wins = u64::from(mine) + u64::from(theirs);
+                        assert!(wins >= 1, "both attempts aborted");
+                        assert_eq!(x.load(Ordering::SeqCst), wins, "⊥ took effect");
+                        if wins < 2 {
+                            aborted.store(true, Ordering::SeqCst);
+                        }
+                    })
+            };
+            report.assert_ok();
+            assert!(report.exhausted, "{report}");
+            aborted.load(Ordering::SeqCst)
+        };
+        assert!(!run(Some(0)), "a serial schedule aborted");
+        assert!(run(None), "no interleaving aborted");
     }
 
     #[test]
@@ -215,6 +357,78 @@ mod tests {
         assert!(!yield_spin());
         assert_eq!(chaos_draw(2), None);
         assert_eq!(entropy_seed(), None);
+    }
+
+    /// A crashed thread stops at the chosen yield point and never runs
+    /// again; teardown unwinds it without the body joining it.
+    #[test]
+    fn crashed_thread_stops_at_its_kth_yield_point() {
+        for k in 0..4u64 {
+            let report = Explorer::exhaustive().explore(move || {
+                let x = Arc::new(AtomicU64::new(0));
+                let _corpse = {
+                    let x = Arc::clone(&x);
+                    spawn(move || {
+                        crash_after(k as usize);
+                        for _ in 0..3 {
+                            yield_access();
+                            x.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                };
+                // Let the victim run to its crash or its end.
+                for _ in 0..8 {
+                    yield_access();
+                }
+                assert!(x.load(Ordering::SeqCst) <= k.min(3));
+            });
+            report.assert_ok();
+            assert_eq!(report.pruned, 0, "k={k}: {report}");
+        }
+    }
+
+    /// A survivor that waits forever for a corpse is reported through
+    /// the step budget (pruned), not as a hang or a violation.
+    #[test]
+    fn survivor_blocked_by_a_corpse_is_pruned() {
+        let report = Explorer::exhaustive().with_max_steps(200).explore(|| {
+            let held = Arc::new(AtomicBool::new(false));
+            let _corpse = {
+                let held = Arc::clone(&held);
+                spawn(move || {
+                    yield_access();
+                    held.store(true, Ordering::SeqCst);
+                    crash_after(0);
+                    yield_access(); // dies holding the "lock"
+                    held.store(false, Ordering::SeqCst);
+                })
+            };
+            loop {
+                yield_access();
+                if held.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+            while held.load(Ordering::SeqCst) {
+                yield_spin();
+            }
+        });
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+        assert!(report.pruned > 0, "the survivor must be blocked: {report}");
+    }
+
+    #[test]
+    fn joining_a_corpse_is_a_deadlock() {
+        let report = Explorer::exhaustive().explore(|| {
+            let corpse = spawn(|| {
+                crash_after(0);
+                yield_access();
+            });
+            corpse.join();
+        });
+        let v = report.assert_violation();
+        assert!(v.message.contains("deadlock"), "{}", v.message);
     }
 
     #[test]

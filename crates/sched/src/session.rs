@@ -7,9 +7,9 @@
 //! picks who performs the next access (consulting the DFS [`Path`],
 //! the seeded RNG, or a replayed trace), and the chosen thread runs
 //! until *its* next yield point. Interleavings of counted accesses are
-//! therefore fully controlled; code between two counted accesses
-//! (uncounted peeks aside — they are yield points too) executes as an
-//! atomic block of the schedule.
+//! therefore fully controlled; code between two yield points (which
+//! also include uncounted peeks and protocol-word accesses) executes
+//! as an atomic block of the schedule.
 //!
 //! # Spin discipline
 //!
@@ -31,6 +31,16 @@
 //! teardown code (drops) runs **free** — scheduling points become
 //! no-ops while the thread is already panicking, so destructors never
 //! double-panic through the scheduler.
+//!
+//! # Crashes
+//!
+//! [`crash_after`] arms the calling model thread to stop forever at a
+//! chosen yield point: the paper's crash (§2.1), a process that simply
+//! takes no more steps. A crashed thread is never scheduled again and
+//! must not be joined. Survivors run on; one that waits forever for
+//! the corpse spins until the step budget prunes the execution, which
+//! is how a blocked survivor is reported. Once every other thread has
+//! finished, teardown unwinds the corpse with the same sentinel.
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -68,6 +78,8 @@ enum Run {
     Ready,
     /// Waiting for thread `.0` to finish (inside `JoinHandle::join`).
     Blocked(usize),
+    /// Stopped forever by [`crash_after`]: never scheduled again.
+    Crashed,
     /// Finished (or never started because the session stopped).
     Finished,
 }
@@ -81,6 +93,8 @@ struct Th {
     /// Entropy requests served to this thread (see
     /// [`Session::entropy_seed`]).
     entropy_ctr: u64,
+    /// Yield points left before the thread crashes ([`crash_after`]).
+    crash_in: Option<usize>,
 }
 
 impl Th {
@@ -89,6 +103,7 @@ impl Th {
             run: Run::Ready,
             yielded: false,
             entropy_ctr: 0,
+            crash_in: None,
         }
     }
 }
@@ -127,6 +142,9 @@ pub(crate) struct State {
     preemptions: usize,
     children_alive: usize,
     status: Option<Stop>,
+    /// Set at teardown once only crashed threads are left: they wake
+    /// and unwind.
+    draining: bool,
     violation: Option<String>,
     chooser: Chooser,
     /// Branch decisions taken this execution, for trace printing.
@@ -174,6 +192,7 @@ impl Session {
                 preemptions: 0,
                 children_alive: 0,
                 status: None,
+                draining: false,
                 violation: None,
                 chooser,
                 trace: Vec::new(),
@@ -196,7 +215,9 @@ impl Session {
             .filter(|&i| st.threads[i].run == Run::Ready)
             .collect();
         if enabled.is_empty() {
-            if st.threads.iter().any(|t| t.run != Run::Finished) {
+            // Crashed threads never run again, so they neither count
+            // as deadlocked nor keep the session alive.
+            if st.threads.iter().any(|t| matches!(t.run, Run::Blocked(_))) {
                 return Err(Stop::Deadlock);
             }
             st.active = NO_ACTIVE;
@@ -296,11 +317,16 @@ impl Session {
     /// when granted. `spin` marks the caller as busy-waiting.
     pub(crate) fn yield_point(self: &Arc<Session>, me: usize, spin: bool) {
         let mut st = self.lock();
-        if st.status.is_some() {
+        if st.status.is_some() || st.draining {
             drop(st);
             return bail();
         }
         debug_assert_eq!(st.active, me, "yield point from a non-granted thread");
+        match st.threads[me].crash_in {
+            Some(0) => return self.crash(st, me),
+            Some(left) => st.threads[me].crash_in = Some(left - 1),
+            None => {}
+        }
         if spin {
             st.threads[me].yielded = true;
         }
@@ -324,6 +350,21 @@ impl Session {
         }
     }
 
+    /// Stops `me` forever: hands the grant on and parks until the
+    /// session stops or teardown drains the corpse.
+    fn crash(&self, mut st: MutexGuard<'_, State>, me: usize) {
+        st.threads[me].run = Run::Crashed;
+        st.threads[me].crash_in = None;
+        if let Err(stop) = self.decide(&mut st, me) {
+            self.stop_with(&mut st, stop);
+        }
+        while st.status.is_none() && !st.draining {
+            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(st);
+        bail();
+    }
+
     /// Registers a new model thread; returns its id.
     fn register(&self) -> usize {
         let mut st = self.lock();
@@ -345,7 +386,7 @@ impl Session {
                 t.run = Run::Ready;
             }
         }
-        if st.status.is_none() {
+        if st.status.is_none() && !st.draining {
             if let Err(stop) = self.decide(&mut st, me) {
                 self.stop_with(&mut st, stop);
             }
@@ -461,6 +502,16 @@ impl Session {
             self.cv.notify_all();
         }
         while st.children_alive > 0 {
+            // Only corpses left: unwind them (they never finish alone).
+            if !st.draining
+                && st
+                    .threads
+                    .iter()
+                    .all(|t| matches!(t.run, Run::Finished | Run::Crashed))
+            {
+                st.draining = true;
+                self.cv.notify_all();
+            }
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         RunOutcome {
@@ -596,8 +647,9 @@ where
     }
 }
 
-/// Yield point hook: called before every counted register access (and
-/// uncounted peek) by `cso_memory::reg` under the `model` feature.
+/// Yield point hook: called before every counted register access,
+/// uncounted peek and protocol-word access (`cso_memory::reg`,
+/// `cso_memory::proto`) under the `model` feature.
 /// No-op when the calling thread is not in a session.
 pub fn yield_access() {
     if let Some((sess, me)) = current() {
@@ -616,6 +668,25 @@ pub fn yield_spin() -> bool {
         }
         None => false,
     }
+}
+
+/// Arms the calling model thread to crash: it runs through `k` more
+/// yield points (performing the shared accesses that follow them) and
+/// stops forever at the next one. A crashed thread is never scheduled
+/// again and must not be joined (a join on it deadlocks); teardown
+/// unwinds it once every other thread has finished. Loop `k` from 0
+/// upwards to crash an operation at every step. A later call re-arms.
+///
+/// # Panics
+///
+/// Panics outside a model session, or on the body thread (thread 0).
+pub fn crash_after(k: usize) {
+    let (sess, me) = current().expect("cso-sched: crash_after outside a model session");
+    assert_ne!(
+        me, 0,
+        "cso-sched: the body thread cannot crash (crash a spawned thread)"
+    );
+    sess.lock().threads[me].crash_in = Some(k);
 }
 
 /// Chaos hook: schedule-deterministic fire/skip draw for a `one_in`

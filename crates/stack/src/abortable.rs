@@ -117,6 +117,8 @@ const PUSH_ATTEMPTS: usize = 0;
 const PUSH_ABORTS: usize = 1;
 const POP_ATTEMPTS: usize = 2;
 const POP_ABORTS: usize = 3;
+/// Successful elimination takes: one per eliminated push/pop pair.
+const ELIMINATED: usize = 4;
 
 impl<V: StackValue> AbortableStack<V> {
     /// Creates an empty stack of capacity `capacity`.
@@ -302,8 +304,9 @@ impl<V: StackValue> AbortableStack<V> {
         }
     }
 
-    /// Resets the attempt/abort counters to zero: the counter block
-    /// [`Self::abort_stats`] reads, which is the only copy of these
+    /// Resets the attempt/abort counters (and the eliminated-pair
+    /// count) to zero: the counter block [`Self::abort_stats`] and
+    /// [`Self::eliminated_pairs`] read, which is the only copy of these
     /// counts (no registry series mirrors or exports them). Racy
     /// against in-flight operations: reset while quiescent for exact
     /// zeros.
@@ -324,7 +327,7 @@ impl<V: StackValue> AbortableStack<V> {
     /// with `elimination` drives this stack).
     #[must_use]
     pub fn eliminated_pairs(&self) -> u64 {
-        self.exchanger.exchanges()
+        self.counts.sum(ELIMINATED)
     }
 }
 
@@ -392,6 +395,7 @@ impl<V: StackValue> Abortable for AbortableStack<V> {
                     probe::thread_id(),
                 )
                 .map(|(bits, partner)| {
+                    self.counts.add(ELIMINATED, 1);
                     // Causal edge: the offeror's stamp names the thread
                     // whose push supplied this value.
                     probe_if!(partner != NO_HELPER, Event::HelpedByPartner(partner));
@@ -728,5 +732,62 @@ mod tests {
             }
             assert_eq!(stack.len(), reference.len());
         }
+    }
+}
+
+/// Figure 1's representation invariant on the real stack, over the
+/// schedules of racing weak operations: only `STACK[TOP.index]` may be
+/// stale (its lazy write still pending); every slot below it holds its
+/// final value. Read through the lazy rule at quiescence, the stack
+/// must therefore hold exactly what a solo drain then pops.
+#[cfg(all(test, feature = "model"))]
+mod model_invariants {
+    use super::*;
+    use cso_sched::{spawn, Explorer};
+    use std::sync::Arc;
+
+    /// The content, bottom first: `TOP.value` at `TOP.index`, the
+    /// slots below it as stored.
+    fn lazy_read(stack: &AbortableStack<u32>) -> Vec<u32> {
+        let top = TopWord::unpack(stack.top.peek());
+        (1..=top.index)
+            .map(|x| {
+                if x == top.index {
+                    top.value
+                } else {
+                    SlotWord::unpack(stack.slots[usize::from(x)].peek()).value
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_the_top_slot_may_be_stale() {
+        let report = Explorer::exhaustive()
+            .with_preemption_bound(Some(3))
+            .explore(|| {
+                let stack = Arc::new(AbortableStack::<u32>::new(4));
+                stack.weak_push(5).unwrap();
+                let child = {
+                    let stack = Arc::clone(&stack);
+                    spawn(move || {
+                        let _ = stack.weak_push(2);
+                        let _ = stack.weak_pop();
+                    })
+                };
+                let _ = stack.weak_push(1);
+                let _ = stack.weak_push(3);
+                child.join();
+                let mut content = lazy_read(&stack);
+                content.reverse();
+                let mut drained = Vec::new();
+                while let PopOutcome::Popped(v) = stack.weak_pop().expect("solo") {
+                    drained.push(v);
+                }
+                assert_eq!(content, drained, "a slot below TOP.index was stale");
+            });
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+        assert_eq!(report.pruned, 0, "{report}");
     }
 }

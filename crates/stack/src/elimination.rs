@@ -22,6 +22,7 @@ use std::sync::atomic::Ordering;
 use cso_core::ProgressCondition;
 use cso_memory::epoch::{self, Atomic, Owned};
 use cso_memory::exchange::Exchanger;
+use cso_metrics::{thread_rows, CounterBlock};
 
 /// A lock-free stack with an elimination back-off array.
 ///
@@ -41,7 +42,13 @@ use cso_memory::exchange::Exchanger;
 pub struct EliminationStack<T> {
     head: Atomic<Node<T>>,
     exchanger: Exchanger<T>,
+    /// Successful takes (one per eliminated pair), in slot
+    /// [`ELIMINATED`] of the calling thread's home row.
+    counts: CounterBlock,
 }
+
+/// The [`CounterBlock`] slot counting eliminated pairs.
+const ELIMINATED: usize = 0;
 
 struct Node<T> {
     value: ManuallyDrop<T>,
@@ -62,6 +69,7 @@ impl<T: Send> EliminationStack<T> {
         EliminationStack {
             head: Atomic::null(),
             exchanger: Exchanger::new(slots),
+            counts: CounterBlock::new(thread_rows()),
         }
     }
 
@@ -71,7 +79,7 @@ impl<T: Send> EliminationStack<T> {
     /// Number of operation *pairs* completed via elimination.
     #[must_use]
     pub fn eliminated_pairs(&self) -> u64 {
-        self.exchanger.exchanges()
+        self.counts.sum(ELIMINATED)
     }
 
     /// Pushes `value` (unbounded; always succeeds).
@@ -97,6 +105,7 @@ impl<T: Send> EliminationStack<T> {
                 return result;
             }
             if let Some(value) = self.exchanger.take() {
+                self.counts.add(ELIMINATED, 1);
                 return Some(value);
             }
         }

@@ -41,7 +41,7 @@
 //! | [`queue`] | the same construction for a bounded FIFO queue + Michael–Scott, lock baselines |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
-//! | [`explore`] | step-machine model checker (exhaustive & randomized schedules) |
+//! | `sched` | (with the `model` feature) the controlled scheduler that model-checks the production structures: exhaustive, seeded-random and replayed schedules, crash injection |
 //! | [`metrics`] | live metrics registry (sharded counters, gauges, log-histogram timers), Prometheus/JSON exporters, scrape endpoint |
 //! | [`trace`] | feature-gated probe rings, latency histograms, step auditor, Chrome trace export |
 //! | [`profile`] | continuous profiling: background ring harvester, online span aggregator, causal (what-if) profiler, live `/profile` + `/spans.json` + `/flamegraph` + `/causal.json` routes |
@@ -54,7 +54,6 @@ pub mod paper;
 
 pub use cso_core as core;
 pub use cso_deque as deque;
-pub use cso_explore as explore;
 pub use cso_lincheck as lincheck;
 pub use cso_locks as locks;
 pub use cso_memory as memory;
@@ -63,8 +62,8 @@ pub use cso_profile as profile;
 pub use cso_queue as queue;
 /// The deterministic-interleaving runtime (only with the `model`
 /// feature): drives the production structures through exhaustive,
-/// seeded-random, or replayed schedules. See `tests/model_explore.rs`
-/// and the CONTRIBUTING.md model-test guide.
+/// seeded-random, or replayed schedules, with crash injection. See
+/// `tests/model_*.rs` and the CONTRIBUTING.md model-test guide.
 #[cfg(feature = "model")]
 pub use cso_sched as sched;
 pub use cso_shard as shard;

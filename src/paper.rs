@@ -36,13 +36,15 @@
 //! | ⊥ | [`cso_core::Aborted`] |
 //! | abortable-object notion (§1.2) | the [`cso_core::Abortable`] trait and its contract |
 //! | `done`/`full`, value/`empty` | [`cso_stack::PushOutcome`], [`cso_stack::PopOutcome`] |
-//! | linearization points (§3) | documented on [`cso_stack::AbortableStack`]; *checked* by [`cso_lincheck::checker::check_linearizable`] over live histories and by [`cso_explore`] over **all** schedules of bounded instances |
+//! | linearization points (§3) | documented on [`cso_stack::AbortableStack`]; *checked* by [`cso_lincheck::checker::check_linearizable`] over live histories and by the `model` runtime over **all** schedules of bounded instances of the real stack (`tests/model_objects.rs`) |
 //! | Figure 2 (`repeat … until ≠ ⊥`) | [`cso_core::NonBlocking`] (generic) and [`cso_stack::NonBlockingStack`] |
 //! | progress conditions hierarchy (§1.2) | [`cso_core::progress::ProgressCondition`] |
 //!
-//! The model-checker twin of Figure 1 — the same lines as a
-//! one-access-per-step machine — is
-//! [`cso_explore::algos::stack::WeakStackMachine`].
+//! There is no model-checker twin of Figure 1: under the `model`
+//! feature every counted access of [`cso_stack::AbortableStack`] is a
+//! scheduling point, so `tests/model_objects.rs` explores the real
+//! code, and a unit test inside `cso-stack` checks its representation
+//! invariant (only `STACK[TOP.index]` may be stale).
 //!
 //! ## §4 — The contention-sensitive stack (Figure 3)
 //!
@@ -70,8 +72,8 @@
 //! | Figure 3 for the stack | [`cso_stack::CsStack`] |
 //! | the deadlock-free lock it assumes | any [`cso_locks::RawLock`]; default [`cso_locks::TasLock`] |
 //! | §4.4 starred lines as a standalone booster | [`cso_locks::StarvationFree`] |
-//! | Theorem 1 (non-⊥, linearizable, 6 accesses, lock-free solo) | asserted in `tests/theorem1.rs`; measured by `e1_access_counts`; model-checked in [`cso_explore::algos::cs_stack`] |
-//! | Lemmas 2–3 (termination, eventual lock acquisition) | bounded mechanical form: [`cso_explore::fair`] round-robin runs; hostile-workload stress in `cso-locks` |
+//! | Theorem 1 (non-⊥, linearizable, 6 accesses, lock-free solo) | asserted in `tests/theorem1.rs`; measured by `e1_access_counts`; model-checked on the real `CsStack` in `tests/model_objects.rs` and `tests/model_explore.rs` |
+//! | Lemmas 2–3 (termination, eventual lock acquisition) | bounded mechanical form: random sweeps of the real `CsStack` and booster that finish inside the step budget, and the §4.4 bypass bound, in `tests/model_locks.rs`; hostile-workload stress in `cso-locks` |
 //! | the remark that a starvation-free lock makes FLAG/TURN unnecessary | [`cso_core::CsConfig::UNFAIR`] uses the bare lock; pair [`cso_stack::CsStack::with_lock`] with [`cso_locks::TicketLock`] for the remark's configuration |
 //!
 //! ## §5 — Concluding remarks
@@ -96,12 +98,13 @@
 //! * **Bounded tags.** The paper's sequence numbers are unbounded
 //!   integers; the registers here pack 16-bit tags (wrap analysis in
 //!   `DESIGN.md`, wrap stress tests in `tests/wraparound.rs`, exact
-//!   small-instance semantics in the model checker).
+//!   small-instance semantics under the model runtime).
 //! * **Crash tolerance (§5).** Like the paper, the lock-free layers
 //!   tolerate crashes anywhere; the Figure 3 layer tolerates crashes
 //!   anywhere *except while holding the lock*. Both halves — the
-//!   tolerance and the caveat — are demonstrated mechanically in
-//!   `crates/explore/tests/crash_tolerance.rs` by freezing a process
-//!   at every prefix of its operation.
+//!   tolerance and the caveat — are demonstrated mechanically on the
+//!   real objects in `tests/model_crash.rs`, which stops a process
+//!   forever at every yield point of its operation
+//!   (`cso_sched::crash_after`).
 
 // This module intentionally declares no items.

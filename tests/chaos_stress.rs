@@ -15,10 +15,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cso::core::{CsConfig, RecoveryPolicy};
-use cso::deque::{CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque};
+use cso::deque::{CsDeque, DequePopOutcome, DequePushOutcome, End};
 use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
+use cso::lincheck::specs::deque::{DequeSpec, SpecDequeOp, SpecDequeResp, SpecEnd};
 use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
 use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
 use cso::memory::chaos::{self, Fault, Plan};
@@ -248,41 +248,11 @@ fn cs_queue_linearizes_under_chaos() {
     chaos::reset();
 }
 
-/// The linear-HLM deque specification (see tests/deque_lincheck.rs).
-struct DequeSpec {
-    capacity: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DequeResp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = DequeResp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, DequeResp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => DequeResp::Pushed,
-                DequePushOutcome::Full => DequeResp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                DequePopOutcome::Empty => DequeResp::Empty,
-            },
-        };
-        (next, resp)
+/// The checker-side name of a deque end.
+fn spec_end(end: End) -> SpecEnd {
+    match end {
+        End::Left => SpecEnd::Left,
+        End::Right => SpecEnd::Right,
     }
 }
 
@@ -293,10 +263,10 @@ fn cs_deque_linearizes_under_weak_op_abort_storm() {
     chaos::arm_plan("deque::push", Plan::one_in(Fault::SpuriousAbort, 3));
     chaos::arm_plan("deque::pop", Plan::one_in(Fault::SpuriousAbort, 3));
 
-    let spec = DequeSpec { capacity: 4 };
+    let spec = DequeSpec::new(4);
     for round in 0..30 {
         let deque: CsDeque<u32> = CsDeque::new(4, THREADS);
-        let recorder: Recorder<DequeOp<u32>, DequeResp> = Recorder::new();
+        let recorder: Recorder<SpecDequeOp, SpecDequeResp> = Recorder::new();
         std::thread::scope(|s| {
             for proc in 0..THREADS {
                 let deque = &deque;
@@ -310,17 +280,17 @@ fn cs_deque_linearizes_under_weak_op_abort_storm() {
                         };
                         if (proc * 31 + i * 17 + round) % 3 != 0 {
                             let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
+                            recorder.invoke(proc, SpecDequeOp::Push(spec_end(end), v));
                             let resp = match deque.push(proc, end, v) {
-                                DequePushOutcome::Pushed => DequeResp::Pushed,
-                                DequePushOutcome::Full => DequeResp::Full,
+                                DequePushOutcome::Pushed => SpecDequeResp::Pushed,
+                                DequePushOutcome::Full => SpecDequeResp::Full,
                             };
                             recorder.ret(proc, resp);
                         } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
+                            recorder.invoke(proc, SpecDequeOp::Pop(spec_end(end)));
                             let resp = match deque.pop(proc, end) {
-                                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                                DequePopOutcome::Empty => DequeResp::Empty,
+                                DequePopOutcome::Popped(v) => SpecDequeResp::Popped(v),
+                                DequePopOutcome::Empty => SpecDequeResp::Empty,
                             };
                             recorder.ret(proc, resp);
                         }

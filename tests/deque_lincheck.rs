@@ -1,69 +1,35 @@
 //! Linearizability stress for the HLM deque family.
 //!
-//! The deque needs its own sequential specification — the linear-HLM
-//! arena semantics (per-side space) — implemented here over
-//! `cso_deque::SeqDeque` and plugged into the generic Wing–Gong
-//! checker. Aborted (⊥) attempts are cancelled per the
-//! abortable-object contract; a secretly-effective abort (e.g. a push
+//! The deque's sequential specification — the linear-HLM arena
+//! semantics (per-side space) — is `cso_lincheck::specs::deque`,
+//! plugged into the generic Wing–Gong checker. Aborted (⊥) attempts
+//! are cancelled per the abortable-object contract; a secretly-effective abort (e.g. a push
 //! whose first "bump" C&S changed abstract state) would make the
 //! remaining history non-linearizable and fail here.
 
-use cso::deque::{
-    AbortableDeque, CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque,
-};
+use cso::deque::{AbortableDeque, CsDeque, DequePopOutcome, DequePushOutcome, End};
 use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
-
-/// Responses, checker-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-/// The linear-HLM deque specification.
-struct DequeSpec {
-    capacity: usize,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = Resp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, Resp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => Resp::Pushed,
-                DequePushOutcome::Full => Resp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => Resp::Popped(v),
-                DequePopOutcome::Empty => Resp::Empty,
-            },
-        };
-        (next, resp)
-    }
-}
+use cso::lincheck::specs::deque::{DequeSpec, SpecDequeOp, SpecDequeResp, SpecEnd};
 
 const CAPACITY: usize = 4;
 const THREADS: usize = 3;
 const OPS: usize = 7;
 
+/// The checker-side name of a deque end.
+fn spec_end(end: End) -> SpecEnd {
+    match end {
+        End::Left => SpecEnd::Left,
+        End::Right => SpecEnd::Right,
+    }
+}
+
 #[test]
 fn abortable_deque_histories_linearize() {
-    let spec = DequeSpec { capacity: CAPACITY };
+    let spec = DequeSpec::new(CAPACITY);
     for round in 0..200 {
         let deque: AbortableDeque<u32> = AbortableDeque::new(CAPACITY);
-        let recorder: Recorder<DequeOp<u32>, Resp> = Recorder::new();
+        let recorder: Recorder<SpecDequeOp, SpecDequeResp> = Recorder::new();
         std::thread::scope(|s| {
             for proc in 0..THREADS {
                 let deque = &deque;
@@ -77,19 +43,25 @@ fn abortable_deque_histories_linearize() {
                         };
                         if (proc * 31 + i * 17 + round) % 3 != 0 {
                             let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
+                            recorder.invoke(proc, SpecDequeOp::Push(spec_end(end), v));
                             match deque.try_push(end, v) {
-                                Ok(DequePushOutcome::Pushed) => recorder.ret(proc, Resp::Pushed),
-                                Ok(DequePushOutcome::Full) => recorder.ret(proc, Resp::Full),
+                                Ok(DequePushOutcome::Pushed) => {
+                                    recorder.ret(proc, SpecDequeResp::Pushed)
+                                }
+                                Ok(DequePushOutcome::Full) => {
+                                    recorder.ret(proc, SpecDequeResp::Full)
+                                }
                                 Err(_) => recorder.cancel(proc),
                             }
                         } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
+                            recorder.invoke(proc, SpecDequeOp::Pop(spec_end(end)));
                             match deque.try_pop(end) {
                                 Ok(DequePopOutcome::Popped(v)) => {
-                                    recorder.ret(proc, Resp::Popped(v));
+                                    recorder.ret(proc, SpecDequeResp::Popped(v));
                                 }
-                                Ok(DequePopOutcome::Empty) => recorder.ret(proc, Resp::Empty),
+                                Ok(DequePopOutcome::Empty) => {
+                                    recorder.ret(proc, SpecDequeResp::Empty)
+                                }
                                 Err(_) => recorder.cancel(proc),
                             }
                         }
@@ -110,10 +82,10 @@ fn abortable_deque_histories_linearize() {
 
 #[test]
 fn cs_deque_histories_linearize() {
-    let spec = DequeSpec { capacity: CAPACITY };
+    let spec = DequeSpec::new(CAPACITY);
     for round in 0..120 {
         let deque: CsDeque<u32> = CsDeque::new(CAPACITY, THREADS);
-        let recorder: Recorder<DequeOp<u32>, Resp> = Recorder::new();
+        let recorder: Recorder<SpecDequeOp, SpecDequeResp> = Recorder::new();
         std::thread::scope(|s| {
             for proc in 0..THREADS {
                 let deque = &deque;
@@ -127,17 +99,17 @@ fn cs_deque_histories_linearize() {
                         };
                         if (proc + i + round) % 2 == 0 {
                             let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
+                            recorder.invoke(proc, SpecDequeOp::Push(spec_end(end), v));
                             let resp = match deque.push(proc, end, v) {
-                                DequePushOutcome::Pushed => Resp::Pushed,
-                                DequePushOutcome::Full => Resp::Full,
+                                DequePushOutcome::Pushed => SpecDequeResp::Pushed,
+                                DequePushOutcome::Full => SpecDequeResp::Full,
                             };
                             recorder.ret(proc, resp);
                         } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
+                            recorder.invoke(proc, SpecDequeOp::Pop(spec_end(end)));
                             let resp = match deque.pop(proc, end) {
-                                DequePopOutcome::Popped(v) => Resp::Popped(v),
-                                DequePopOutcome::Empty => Resp::Empty,
+                                DequePopOutcome::Popped(v) => SpecDequeResp::Popped(v),
+                                DequePopOutcome::Empty => SpecDequeResp::Empty,
                             };
                             recorder.ret(proc, resp);
                         }

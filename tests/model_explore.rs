@@ -30,10 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cso::core::CsConfig;
-use cso::deque::{CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque};
+use cso::deque::{CsDeque, DequePopOutcome, DequePushOutcome, End};
 use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
+use cso::lincheck::specs::deque::{DequeSpec, SpecDequeOp, SpecDequeResp, SpecEnd};
 use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
 use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
 use cso::locks::TasLock;
@@ -349,43 +349,11 @@ fn exhaustive_queue_enqueue_dequeue_linearizes() {
     assert!(report.schedules > 1, "{report}");
 }
 
-/// Responses for the deque scenario, checker-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DequeResp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-/// The linear-HLM deque sequential specification, as in
-/// `tests/deque_lincheck.rs`, over the reference `SeqDeque`.
-struct DequeSpec {
-    capacity: usize,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = DequeResp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, DequeResp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => DequeResp::Pushed,
-                DequePushOutcome::Full => DequeResp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                DequePopOutcome::Empty => DequeResp::Empty,
-            },
-        };
-        (next, resp)
+/// The checker-side name of a deque end.
+fn spec_end(end: End) -> SpecEnd {
+    match end {
+        End::Left => SpecEnd::Left,
+        End::Right => SpecEnd::Right,
     }
 }
 
@@ -399,44 +367,44 @@ fn exhaustive_deque_mixed_ends_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
         let deque: Arc<CsDeque<u32>> =
             Arc::new(CsDeque::with_config(4, TasLock::new(), 2, CsConfig::PAPER));
-        let recorder: Recorder<DequeOp<u32>, DequeResp> = Recorder::new();
+        let recorder: Recorder<SpecDequeOp, SpecDequeResp> = Recorder::new();
         let child = {
             let deque = Arc::clone(&deque);
             let recorder = recorder.clone();
             spawn(move || {
                 let mut got = Vec::new();
-                recorder.invoke(1, DequeOp::Push(End::Right, 2));
+                recorder.invoke(1, SpecDequeOp::Push(spec_end(End::Right), 2));
                 let resp = match deque.push(1, End::Right, 2) {
-                    DequePushOutcome::Pushed => DequeResp::Pushed,
-                    DequePushOutcome::Full => DequeResp::Full,
+                    DequePushOutcome::Pushed => SpecDequeResp::Pushed,
+                    DequePushOutcome::Full => SpecDequeResp::Full,
                 };
                 recorder.ret(1, resp);
-                recorder.invoke(1, DequeOp::Pop(End::Left));
+                recorder.invoke(1, SpecDequeOp::Pop(spec_end(End::Left)));
                 let resp = match deque.pop(1, End::Left) {
                     DequePopOutcome::Popped(v) => {
                         got.push(v);
-                        DequeResp::Popped(v)
+                        SpecDequeResp::Popped(v)
                     }
-                    DequePopOutcome::Empty => DequeResp::Empty,
+                    DequePopOutcome::Empty => SpecDequeResp::Empty,
                 };
                 recorder.ret(1, resp);
                 got
             })
         };
         let mut got = Vec::new();
-        recorder.invoke(0, DequeOp::Push(End::Left, 1));
+        recorder.invoke(0, SpecDequeOp::Push(spec_end(End::Left), 1));
         let resp = match deque.push(0, End::Left, 1) {
-            DequePushOutcome::Pushed => DequeResp::Pushed,
-            DequePushOutcome::Full => DequeResp::Full,
+            DequePushOutcome::Pushed => SpecDequeResp::Pushed,
+            DequePushOutcome::Full => SpecDequeResp::Full,
         };
         recorder.ret(0, resp);
-        recorder.invoke(0, DequeOp::Pop(End::Right));
+        recorder.invoke(0, SpecDequeOp::Pop(spec_end(End::Right)));
         let resp = match deque.pop(0, End::Right) {
             DequePopOutcome::Popped(v) => {
                 got.push(v);
-                DequeResp::Popped(v)
+                SpecDequeResp::Popped(v)
             }
-            DequePopOutcome::Empty => DequeResp::Empty,
+            DequePopOutcome::Empty => SpecDequeResp::Empty,
         };
         recorder.ret(0, resp);
         got.extend(child.join());
@@ -452,7 +420,7 @@ fn exhaustive_deque_mixed_ends_linearizes() {
 
         let history = recorder.finish();
         assert!(
-            check_linearizable(&DequeSpec { capacity: 4 }, &history).is_linearizable(),
+            check_linearizable(&DequeSpec::new(4), &history).is_linearizable(),
             "deque history not linearizable"
         );
     });

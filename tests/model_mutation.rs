@@ -1,7 +1,9 @@
-//! Mutation self-test: proof the model harness can actually fail.
+//! Mutation self-tests: proof the model harness can actually fail.
 //!
 //! A verification harness that has never caught a planted bug proves
-//! nothing. This file carries a test-only copy of the Figure 1
+//! nothing. This file plants two.
+//!
+//! **Figure 1 help reordering.** A test-only copy of the Figure 1
 //! abortable stack with **one deliberate mutation**: the helping write
 //! (lines 02/15–16, which completes the previous operation's lazy slot
 //! update) is moved from *before* the decisive `TOP` C&S to *after*
@@ -13,14 +15,24 @@
 //! within a bounded schedule count, and its printed trace must replay
 //! to the same violation.
 //!
+//! **Combining claim without CAS.** A test-local help-or-self-serve
+//! handoff over the production `PubRecord`, whose helper claims a
+//! posted request by a plain load of the status followed by a write
+//! whose verdict it ignores, instead of `try_claim`'s CAS. Serially the
+//! two steps never separate, so the mutant passes; interleaved, the
+//! owner retracts its request between them and applies it itself, and
+//! the helper applies it again — a double application the explorer
+//! must find and replay.
+//!
 //! Requires `--features model`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use cso::memory::combining::{PubRecord, RecordState};
 use cso::memory::packed::{SlotWord, TopWord};
-use cso::memory::reg::Reg64;
-use cso::sched::{spawn, Explorer};
+use cso::memory::reg::{Reg64, RegUsize};
+use cso::sched::{spawn, yield_spin, Explorer};
 
 /// `⊥` — the paper's "no value" sentinel (must match the real stack's
 /// convention of using the value-field zero state for ⊥; the mutant
@@ -228,6 +240,123 @@ fn mutant_survives_serial_schedules() {
     let report = Explorer::exhaustive()
         .with_preemption_bound(Some(0))
         .explore(|| conservation_body(true));
+    report.assert_ok();
+    assert!(report.exhausted, "{report}");
+}
+
+// ---------------------------------------------------------------
+// The combining claim mutant.
+// ---------------------------------------------------------------
+
+/// The request every run hands over: add 1 to the total.
+const REQUEST: usize = 1;
+
+/// A help-or-self-serve handoff through one production publication
+/// record: the owner posts a request, then either retracts it and
+/// applies it itself or collects a helper's response.
+struct Handoff {
+    rec: PubRecord<usize, usize>,
+    total: RegUsize,
+    /// `false` = the faithful CAS claim; `true` = load, then store.
+    load_store_claim: bool,
+}
+
+impl Handoff {
+    fn apply(&self, v: usize) -> usize {
+        self.total.fetch_add(v) + v
+    }
+
+    /// The helper: a few looks at the record, serving it if posted.
+    fn help(&self) {
+        for _ in 0..2 {
+            if self.load_store_claim {
+                if self.rec.state() == RecordState::Posted {
+                    // THE MUTATION: the decision was the load above;
+                    // the claim's verdict is ignored, as a plain store
+                    // would be.
+                    let claimed = self.rec.try_claim().is_some();
+                    let resp = self.apply(REQUEST);
+                    if claimed {
+                        self.rec.complete(resp);
+                    }
+                    return;
+                }
+            } else if let Some(op) = self.rec.try_claim() {
+                // SAFETY: the claim pins the owner until completion.
+                let resp = self.apply(unsafe { *op });
+                self.rec.complete(resp);
+                return;
+            }
+            yield_spin();
+        }
+    }
+}
+
+/// The owner on the body thread, one helper beside it; afterwards the
+/// request must have been applied exactly once.
+fn handoff_body(load_store_claim: bool) {
+    let handoff = Arc::new(Handoff {
+        rec: PubRecord::new(),
+        total: RegUsize::new(0),
+        load_store_claim,
+    });
+    let helper = {
+        let handoff = Arc::clone(&handoff);
+        spawn(move || handoff.help())
+    };
+    let request = REQUEST;
+    // SAFETY: `request` outlives the loop below, which returns only
+    // after consuming a terminal state (retract or response).
+    unsafe { handoff.rec.post(&request) };
+    let resp = loop {
+        match handoff.rec.state() {
+            RecordState::Done => break handoff.rec.take_response(),
+            RecordState::Posted if handoff.rec.try_retract() => break handoff.apply(request),
+            _ => {
+                yield_spin();
+            }
+        }
+    };
+    helper.join();
+    assert_eq!(resp, REQUEST);
+    assert_eq!(
+        handoff.total.read(),
+        REQUEST,
+        "double application: the request was applied twice"
+    );
+}
+
+/// The faithful CAS claim survives every schedule.
+#[test]
+fn faithful_claim_survives_exploration() {
+    let report = Explorer::exhaustive().explore(|| handoff_body(false));
+    report.assert_ok();
+    assert!(report.exhausted, "{report}");
+    assert!(report.schedules > 1, "{report}");
+}
+
+/// The load+store claim double-applies, and the trace replays.
+#[test]
+fn load_store_claim_is_killed_and_replayed() {
+    let report = Explorer::exhaustive().explore(|| handoff_body(true));
+    let violation = report.assert_violation();
+    assert!(
+        violation.message.contains("double application"),
+        "wrong oracle fired: {}",
+        violation.message
+    );
+    assert!(!violation.trace.is_empty());
+    let replayed = Explorer::replay(&violation.trace).explore(|| handoff_body(true));
+    assert_eq!(replayed.assert_violation().message, violation.message);
+}
+
+/// The bug needs an interleaving: serial schedules never split the
+/// load from the store.
+#[test]
+fn load_store_claim_survives_serial_schedules() {
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(0))
+        .explore(|| handoff_body(true));
     report.assert_ok();
     assert!(report.exhausted, "{report}");
 }
