@@ -3,8 +3,9 @@
 //! exposition formats end to end.
 //!
 //! Exits non-zero (via panic) if the Prometheus page is malformed,
-//! the JSON snapshot disagrees with the object's own telemetry, or
-//! the periodic dump fails to appear.
+//! the JSON snapshot disagrees with the object's own telemetry (its
+//! path counters, or the fast-path timer's sample count), or the
+//! periodic dump fails to appear.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -115,6 +116,18 @@ fn main() {
         fast + locked + combined,
         result.total_ops(),
         "every completed operation is on exactly one path"
+    );
+    // Every fast-path completion is timed once, into its process's
+    // own row of the object's timer.
+    let fast_timed = snapshot
+        .get("timers")
+        .and_then(|t| t.get("stack_fast_ns"))
+        .and_then(|t| t.get("count"))
+        .and_then(Json::as_u64)
+        .expect("JSON snapshot is missing timer stack_fast_ns");
+    assert_eq!(
+        fast_timed, fast,
+        "stack_fast_ns must count every fast-path completion"
     );
     println!("json snapshot: fast={fast} locked={locked} combined={combined}");
 

@@ -54,7 +54,7 @@ use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::proto::ProtoU32;
 use cso_memory::reg::RegBool;
-use cso_metrics::{CounterBlock, Gauge, Registry, Timer};
+use cso_metrics::{CounterBlock, Registry, Timer};
 use cso_trace::{probe, probe_if, Event};
 
 use crate::abortable::Abortable;
@@ -287,14 +287,12 @@ const EXPORTED: [(usize, &str); 11] = [
     (slot::SERVED, "combine_served_total"),
 ];
 
-/// The gauges and latency timers installed (at most once) by
-/// [`ContentionSensitive::attach_metrics`]. Event counts are not here:
-/// the registry reads the object's own [`CounterBlock`].
+/// The latency timers installed (at most once) by
+/// [`ContentionSensitive::attach_metrics`]: the object's own, with one
+/// owned row per process, so recording stays on the invoking process's
+/// row like the counts. Event counts are not here: the registry reads
+/// the object's own [`CounterBlock`].
 struct CsMetrics {
-    /// 1.0 while the adaptive gate diverts the fast path, else 0.0.
-    gate_engaged: Gauge,
-    /// The gate's current abort EWMA.
-    gate_abort_ewma: Gauge,
     /// Fast-path completion latency.
     fast_ns: Timer,
     /// Slow-path completion latency (lock wait included).
@@ -302,15 +300,6 @@ struct CsMetrics {
     /// Time-to-recover: latency of slow-path acquisitions that went
     /// through at least one lock succession.
     recover_ns: Timer,
-}
-
-impl CsMetrics {
-    /// Publishes the gate's current state into the two gauges.
-    fn publish_gate(&self, gate: &AdaptiveGate) {
-        self.gate_abort_ewma.set(gate.abort_ewma());
-        self.gate_engaged
-            .set(if gate.engaged() { 1.0 } else { 0.0 });
-    }
 }
 
 /// How many operations completed on each path (diagnostics for
@@ -570,13 +559,14 @@ pub struct ContentionSensitive<O: Abortable, L> {
     config: CsConfig,
     /// One publication record per process (combining slow path).
     records: PubList<O>,
-    /// The EWMA abort-rate gate in front of the fast path.
-    gate: AdaptiveGate,
+    /// The EWMA abort-rate gate in front of the fast path (shared with
+    /// the polled gate gauges of an attached registry).
+    gate: Arc<AdaptiveGate>,
     /// Every statistic, one row per process (see [`slot`]): plain
     /// (uncounted) atomics — metrics, not part of the algorithm's
     /// shared-memory footprint.
     counts: CounterBlock,
-    /// Gauges and timers, if [`ContentionSensitive::attach_metrics`]
+    /// Latency timers, if [`ContentionSensitive::attach_metrics`]
     /// was called. The `OnceLock` probe is a plain (uncounted) atomic
     /// load, so unattached objects keep Theorem 1's access budget.
     metrics: OnceLock<CsMetrics>,
@@ -765,7 +755,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             lock,
             config,
             records: (0..n).map(|_| CachePadded::new(PubRecord::new())).collect(),
-            gate: AdaptiveGate::new(),
+            gate: Arc::new(AdaptiveGate::new()),
             counts: CounterBlock::new(n),
             metrics: OnceLock::new(),
             recovery,
@@ -781,8 +771,12 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// (the slots of its [`CounterBlock`]), so they count events since
     /// construction and always equal the stats views;
     /// `{prefix}_combine_max_batch` is polled, the maximum over rows.
-    /// What attaching adds is the gate gauges and the per-path latency
-    /// timers.
+    /// What attaching adds is the per-path latency timers
+    /// (`{prefix}_fast_ns`, `_locked_ns`, `_recover_ns`), which the
+    /// object owns — one row per process, allocated at that process's
+    /// first sample — and registers in place of any timer of the same
+    /// name, and the gate gauges (`{prefix}_gate_engaged`,
+    /// `_gate_abort_ewma`), polled from the live gate at scrape time.
     ///
     /// The first call wins; later calls (including against a different
     /// registry) are no-ops. Unattached, every timer site costs one
@@ -797,18 +791,22 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             // `OnceLock` below.
             return;
         }
-        let fresh = self
-            .metrics
-            .set(CsMetrics {
-                gate_engaged: registry.gauge(&format!("{prefix}_gate_engaged")),
-                gate_abort_ewma: registry.gauge(&format!("{prefix}_gate_abort_ewma")),
-                fast_ns: registry.timer(&format!("{prefix}_fast_ns")),
-                locked_ns: registry.timer(&format!("{prefix}_locked_ns")),
-                recover_ns: registry.timer(&format!("{prefix}_recover_ns")),
-            })
-            .is_ok();
-        if !fresh {
+        let n = self.lock.n();
+        let m = CsMetrics {
+            fast_ns: Timer::owned(n),
+            locked_ns: Timer::owned(n),
+            recover_ns: Timer::owned(n),
+        };
+        let timers = [
+            ("fast_ns", m.fast_ns.clone()),
+            ("locked_ns", m.locked_ns.clone()),
+            ("recover_ns", m.recover_ns.clone()),
+        ];
+        if self.metrics.set(m).is_err() {
             return;
+        }
+        for (name, timer) in timers {
+            registry.register_timer(&format!("{prefix}_{name}"), timer);
         }
         for (slot, name) in EXPORTED {
             registry.register_counter(&format!("{prefix}_{name}"), self.counts.counter(slot));
@@ -817,9 +815,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         registry.gauge_fn(&format!("{prefix}_combine_max_batch"), move || {
             counts.peak(slot::MAX_BATCH) as f64
         });
-        if let Some(m) = self.metrics.get() {
-            m.publish_gate(&self.gate);
-        }
+        let gate = Arc::clone(&self.gate);
+        registry.gauge_fn(&format!("{prefix}_gate_engaged"), move || {
+            f64::from(u8::from(gate.engaged()))
+        });
+        let gate = Arc::clone(&self.gate);
+        registry.gauge_fn(&format!("{prefix}_gate_abort_ewma"), move || {
+            gate.abort_ewma()
+        });
         self.lock.attach_metrics(registry, prefix);
         registry.register_probe_drop_gauge();
     }
@@ -859,7 +862,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         if self.combining_enabled() {
             let res = self.apply_combining(proc, op);
             if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-                m.locked_ns.record(t0.elapsed());
+                m.locked_ns.record_owned(proc, t0.elapsed());
             }
             return res;
         }
@@ -902,7 +905,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         guard.completed = true;
         drop(guard);
         if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-            m.locked_ns.record(t0.elapsed());
+            m.locked_ns.record_owned(proc, t0.elapsed());
         }
         res
     }
@@ -981,7 +984,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             let t0 = self.metrics.get().map(|_| Instant::now());
             match self.lock.lock_recovering_until(proc, deadline) {
                 RecoveringLock::Acquired => {
-                    self.note_recovered(before, t0);
+                    self.note_recovered(proc, before, t0);
                     true
                 }
                 RecoveringLock::TimedOut => false,
@@ -1025,7 +1028,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     guard.completed = true;
                     drop(guard);
                     if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-                        m.locked_ns.record(t0.elapsed());
+                        m.locked_ns.record_owned(proc, t0.elapsed());
                     }
                     return Ok(res);
                 }
@@ -1077,7 +1080,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             self.note_degraded();
             return Err(Unrecoverable);
         }
-        self.note_recovered(before, t0);
+        self.note_recovered(proc, before, t0);
         Ok(())
     }
 
@@ -1089,10 +1092,10 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// After a recovering acquisition: if it went through a
     /// succession, record the time-to-recover, and refresh the
     /// degradation rung either way.
-    fn note_recovered(&self, successions_before: u64, t0: Option<Instant>) {
+    fn note_recovered(&self, proc: usize, successions_before: u64, t0: Option<Instant>) {
         if self.successions() > successions_before {
             if let (Some(m), Some(t0)) = (self.metrics.get(), t0) {
-                m.recover_ns.record(t0.elapsed());
+                m.recover_ns.record_owned(proc, t0.elapsed());
             }
         }
         self.note_degraded();
@@ -1133,21 +1136,15 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         }
         fail_point!("cs::fast", return None);
         probe!(Event::FastAttempt);
-        let m = self.metrics.get();
-        let t0 = m.map(|_| Instant::now());
+        let timed = self.metrics.get().map(|m| (m, Instant::now()));
         match self.inner.try_apply(op) {
             Ok(res) => {
                 if self.config.adaptive_gate {
                     self.gate.record(false);
                 }
                 self.counts.add_owned(proc, slot::FAST, 1);
-                if let Some(m) = m {
-                    if let Some(t0) = t0 {
-                        m.fast_ns.record(t0.elapsed());
-                    }
-                    if self.config.adaptive_gate {
-                        m.publish_gate(&self.gate);
-                    }
+                if let Some((m, t0)) = timed {
+                    m.fast_ns.record_owned(proc, t0.elapsed());
                 }
                 probe!(Event::FastSuccess);
                 Some(res)
@@ -1157,11 +1154,6 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     self.gate.record(true);
                 }
                 self.counts.add_owned(proc, slot::FAST_ABORTS, 1);
-                if let Some(m) = m {
-                    if self.config.adaptive_gate {
-                        m.publish_gate(&self.gate);
-                    }
-                }
                 probe!(Event::FastAbort);
                 None
             }
@@ -1195,6 +1187,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 }
                 CAS_CM.with(|cm| cm.borrow_mut().wait());
                 probe!(Event::FastAttempt);
+                // Timed like the bare fast path (its weak attempt
+                // only), so `_fast_ns` counts every `fast` completion.
+                let timed = self.metrics.get().map(|m| (m, Instant::now()));
                 match self.inner.try_apply(op) {
                     Ok(res) => {
                         CAS_CM.with(|cm| cm.borrow_mut().on_success());
@@ -1202,10 +1197,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                             self.gate.record(false);
                         }
                         self.counts.add_owned(proc, slot::FAST, 1);
-                        if let Some(m) = self.metrics.get() {
-                            if self.config.adaptive_gate {
-                                m.publish_gate(&self.gate);
-                            }
+                        if let Some((m, t0)) = timed {
+                            m.fast_ns.record_owned(proc, t0.elapsed());
                         }
                         probe!(Event::FastSuccess);
                         return Some(res);
@@ -2107,6 +2100,13 @@ mod tests {
             .map(|(_, v)| *v)
     }
 
+    fn timer_count(snap: &cso_metrics::Snapshot, name: &str) -> Option<u64> {
+        snap.timers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h.count)
+    }
+
     #[test]
     fn attached_metrics_mirror_path_counters() {
         let reg = Registry::new();
@@ -2126,14 +2126,8 @@ mod tests {
         // The lock's own counters registered under the same prefix.
         assert_eq!(counter_value(&snap, "t_lock_acquires_total"), Some(1));
         // Per-path latency histograms saw each completion.
-        let timer = |name: &str| {
-            snap.timers
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, h)| h.count)
-        };
-        assert_eq!(timer("t_fast_ns"), Some(2));
-        assert_eq!(timer("t_locked_ns"), Some(1));
+        assert_eq!(timer_count(&snap, "t_fast_ns"), Some(2));
+        assert_eq!(timer_count(&snap, "t_locked_ns"), Some(1));
     }
 
     #[test]
@@ -2180,6 +2174,110 @@ mod tests {
         let scope = CountScope::start();
         cs.apply(0, &Bump(1));
         assert_eq!(scope.take().total(), 1);
+    }
+
+    #[test]
+    fn owned_timers_count_every_completion() {
+        // Two processes on one attached object, with scripted aborts
+        // sending some operations to the lock: each path's timer
+        // counts exactly that path's completions — no sample lost to
+        // the other process's writes.
+        const OPS: u64 = 5_000;
+        let reg = Registry::new();
+        let cs = Arc::new(make(64, CsConfig::PAPER));
+        cs.attach_metrics(&reg, "t");
+        let workers: Vec<_> = (0..2)
+            .map(|proc| {
+                let cs = Arc::clone(&cs);
+                std::thread::spawn(move || {
+                    for _ in 0..OPS {
+                        cs.apply(proc, &Bump(1));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let snap = reg.snapshot();
+        let fast = counter_value(&snap, "t_ops_fast_total").unwrap();
+        let locked = counter_value(&snap, "t_ops_locked_total").unwrap();
+        assert_eq!(fast + locked, 2 * OPS);
+        assert!(locked > 0, "the scripted aborts reached the lock");
+        assert_eq!(timer_count(&snap, "t_fast_ns"), Some(fast));
+        assert_eq!(timer_count(&snap, "t_locked_ns"), Some(locked));
+        assert_eq!(timer_count(&snap, "t_recover_ns"), Some(0));
+    }
+
+    #[test]
+    fn ladder_retries_are_timed_as_fast_completions() {
+        // The scripted abort sends the first operation to rung 2, whose
+        // retry succeeds: a `fast` completion, timed like the rest.
+        let reg = Registry::new();
+        let cs = make(1, CsConfig::LADDER);
+        cs.attach_metrics(&reg, "l");
+        cs.apply(0, &Bump(1));
+        cs.apply(1, &Bump(1));
+        let snap = reg.snapshot();
+        assert_eq!(counter_value(&snap, "l_fast_aborts_total"), Some(1));
+        assert_eq!(counter_value(&snap, "l_ops_fast_total"), Some(2));
+        assert_eq!(timer_count(&snap, "l_fast_ns"), Some(2));
+    }
+
+    #[test]
+    fn objects_attached_under_one_prefix_keep_their_own_timers() {
+        // The later attach replaces the earlier object's series: the
+        // exported timer is the later object's own and counts exactly
+        // its operations, however the two objects' processes interleave.
+        let reg = Registry::new();
+        let first = Arc::new(make(0, CsConfig::PAPER));
+        let second = Arc::new(make(0, CsConfig::PAPER));
+        first.attach_metrics(&reg, "p");
+        second.attach_metrics(&reg, "p");
+        let workers: Vec<_> = (0..2)
+            .map(|proc| {
+                let (first, second) = (Arc::clone(&first), Arc::clone(&second));
+                std::thread::spawn(move || {
+                    for i in 0..6_000 {
+                        first.apply(proc, &Bump(1));
+                        if i % 3 == 0 {
+                            second.apply(proc, &Bump(1));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let snap = reg.snapshot();
+        assert_eq!(second.stats().total(), 4_000);
+        assert_eq!(timer_count(&snap, "p_fast_ns"), Some(second.stats().fast));
+        assert_eq!(
+            counter_value(&snap, "p_ops_fast_total"),
+            Some(second.stats().fast)
+        );
+    }
+
+    #[test]
+    fn gate_gauges_read_the_live_gate() {
+        let reg = Registry::new();
+        let cs = make(0, CsConfig::PAPER.with_adaptive_gate());
+        cs.attach_metrics(&reg, "g");
+        let gauge = |name: &str| {
+            reg.snapshot()
+                .gauges
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+        };
+        assert_eq!(gauge("g_gate_engaged"), Some(0.0));
+        assert_eq!(gauge("g_gate_abort_ewma"), Some(0.0));
+        // No operation runs between the state change and the scrape:
+        // the gauges are read from the gate itself.
+        cs.gate().force_engage();
+        assert_eq!(gauge("g_gate_engaged"), Some(1.0));
+        assert_eq!(gauge("g_gate_abort_ewma"), Some(1.0));
     }
 
     /// An abortable object with an always-available rendezvous

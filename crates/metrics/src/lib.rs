@@ -26,11 +26,13 @@
 //! registers views of the object's own counters under their exported
 //! names ([`Registry::register_counter`]), so each event is counted
 //! exactly once and the export counts events since construction. What
-//! attachment adds is gauges and per-path latency timers; an object
-//! with no registry attached pays one uncounted atomic load per
-//! operation for them. Counters are plain (uncounted) atomics either
-//! way, so the paper's Theorem 1 step budgets (six *counted* shared
-//! accesses contention-free) are unchanged.
+//! attachment adds is polled gauges and per-path latency timers: the
+//! object's own [`Timer::owned`] timers, one row per process, which it
+//! registers with [`Registry::register_timer`]. An object with no
+//! registry attached pays one uncounted atomic load per operation for
+//! them. Counters are plain (uncounted) atomics either way, so the
+//! paper's Theorem 1 step budgets (six *counted* shared accesses
+//! contention-free) are unchanged.
 //!
 //! [`LogHistogram`]: cso_trace::LogHistogram
 

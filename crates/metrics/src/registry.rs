@@ -284,6 +284,13 @@ impl std::fmt::Debug for Gauge {
 
 /// A latency recorder backed by a [`LogHistogram`] (≤6.25% relative
 /// quantile error, wait-free recording). Clones share the histogram.
+///
+/// [`Registry::timer`] makes shared timers: [`Timer::record`] is safe
+/// from any thread. An object that times its own operations builds an
+/// owned timer ([`Timer::owned`]) with one row per process id, records
+/// with [`Timer::record_owned`], and registers it with
+/// [`Registry::register_timer`]; its rows are allocated at each
+/// process's first record.
 #[derive(Clone)]
 pub struct Timer {
     hist: Arc<LogHistogram>,
@@ -296,16 +303,37 @@ impl Timer {
         }
     }
 
-    /// Records one duration sample.
+    /// A timer with one owned row per process id in `0..rows` (plus the
+    /// shared row [`Timer::record`] writes to).
+    #[must_use]
+    pub fn owned(rows: usize) -> Timer {
+        Timer {
+            hist: Arc::new(LogHistogram::with_owned_rows(rows)),
+        }
+    }
+
+    /// Records one duration sample from any thread.
     #[inline]
     pub fn record(&self, d: Duration) {
         self.hist.record(d);
     }
 
-    /// Records one sample in nanoseconds.
+    /// Records one sample in nanoseconds from any thread.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         self.hist.record_ns(ns);
+    }
+
+    /// Records one duration sample into row `row`, whose only writer is
+    /// the caller: a relaxed load and store per word, no locked
+    /// instruction.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not below the `rows` given to [`Timer::owned`].
+    #[inline]
+    pub fn record_owned(&self, row: usize, d: Duration) {
+        self.hist.record_owned(row, d);
     }
 
     /// Times a closure and records its wall duration.
@@ -424,6 +452,17 @@ impl Registry {
     /// [`Registry::counter`] for naming and idempotence.
     pub fn timer(&self, name: &str) -> Timer {
         register(&self.inner.timers, name, Timer::new)
+    }
+
+    /// Registers `timer` — typically an object's own, from
+    /// [`Timer::owned`] — under `name`, replacing any timer of that
+    /// name (see [`Registry::register_counter`]).
+    ///
+    /// # Panics
+    ///
+    /// If `name` is invalid (see [`Registry::counter`]).
+    pub fn register_timer(&self, name: &str, timer: Timer) {
+        replace(&self.inner.timers, name, timer);
     }
 
     /// Registers a *polled* gauge: `f` runs at every snapshot and its
@@ -684,6 +723,21 @@ mod tests {
         let out = t.time(|| 7);
         assert_eq!(out, 7);
         assert_eq!(t.snapshot().count, 101);
+    }
+
+    #[test]
+    fn registered_timers_are_the_objects_own() {
+        let reg = Registry::new();
+        reg.timer("obj_ns").record_ns(5);
+        let own = Timer::owned(2);
+        reg.register_timer("obj_ns", own.clone());
+        own.record_owned(1, Duration::from_nanos(700));
+        own.record_owned(0, Duration::from_nanos(300));
+        let snap = reg.snapshot();
+        assert_eq!(snap.timers.len(), 1);
+        assert_eq!(snap.timers[0].1.count, 2, "the replaced timer is gone");
+        assert_eq!(snap.timers[0].1.max_ns, 700);
+        assert_eq!(reg.timer("obj_ns").snapshot().count, 2);
     }
 
     #[test]

@@ -389,6 +389,70 @@ mod tests {
     }
 
     #[test]
+    fn metered_pipeline_timers_count_every_completion() {
+        // A producer (proc 0) and a consumer (proc 1) on an attached
+        // queue; the producer forces the adaptive gate on now and then,
+        // diverting operations to the lock. After join, each path's
+        // timer counts exactly that path's completions.
+        const OPS: u32 = 20_000;
+        let registry = cso_metrics::Registry::new();
+        let queue: Arc<CsQueue<u32>> = Arc::new(CsQueue::with_config(
+            64,
+            TasLock::new(),
+            2,
+            CsConfig::PAPER.with_adaptive_gate(),
+        ));
+        queue.attach_metrics(&registry, "q");
+        let producer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                for v in 0..OPS {
+                    if v % 1_000 == 0 {
+                        queue.gate().force_engage();
+                    }
+                    while queue.enqueue(0, v) == EnqueueOutcome::Full {
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        };
+        let consumer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let mut next = 0;
+                while next < OPS {
+                    if let DequeueOutcome::Dequeued(v) = queue.dequeue(1) {
+                        assert_eq!(v, next, "FIFO order");
+                        next += 1;
+                    }
+                }
+            })
+        };
+        producer.join().unwrap();
+        consumer.join().unwrap();
+
+        let snap = registry.snapshot();
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+        };
+        let timer = |name: &str| {
+            snap.timers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, h)| h.count)
+        };
+        let paths = queue.path_stats();
+        assert!(paths.locked > 0, "the engaged gate diverted nothing");
+        assert_eq!(counter("q_ops_fast_total"), Some(paths.fast));
+        assert_eq!(counter("q_ops_locked_total"), Some(paths.locked));
+        assert_eq!(timer("q_fast_ns"), Some(paths.fast));
+        assert_eq!(timer("q_locked_ns"), Some(paths.locked));
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_proc() {
         let queue: CsQueue<u32> = CsQueue::new(8, 2);

@@ -1,15 +1,29 @@
 //! Log-bucketed latency histograms (HDR-style), std-only.
 //!
-//! A [`LogHistogram`] keeps one atomic counter per *log-linear* bucket:
+//! A [`LogHistogram`] keeps one counter per *log-linear* bucket:
 //! values below 16 ns get exact buckets; above that, each power of two
 //! is split into 16 linear sub-buckets, bounding the relative error of
 //! any reported quantile by 1/16 (6.25%) — the same precision/footprint
-//! trade HdrHistogram makes at 4 significant bits. The whole structure
-//! is 976 `AtomicU64`s (≈7.6 KiB), needs no allocation after
-//! construction, and is safe to record into from any number of threads
-//! concurrently (relaxed atomics; a snapshot taken mid-recording is a
-//! consistent-enough view for percentile reporting, see
-//! [`LogHistogram::snapshot`]).
+//! trade HdrHistogram makes at 4 significant bits.
+//!
+//! # Rows
+//!
+//! The counters live in cache-padded *rows*, one per writer, each
+//! holding all 976 bucket `AtomicU64`s plus the exact count, sum and
+//! max (≈7.8 KiB per row). A histogram has `n` **owned** rows (built
+//! with [`LogHistogram::with_owned_rows`]) and one **shared** row:
+//!
+//! * an owned row `row` has a single writer, which records with
+//!   [`LogHistogram::record_owned`]: a relaxed load and store per
+//!   word, no locked instruction, and no line shared with any other
+//!   writer — the per-writer rule of `cso_metrics::CounterBlock`;
+//! * the shared row takes [`LogHistogram::record_ns`] from any number
+//!   of threads: four relaxed atomic RMWs (bucket, count, sum, max).
+//!
+//! Every row is allocated at its writer's first record, so a histogram
+//! that never fires costs a few pointers. [`LogHistogram::snapshot`]
+//! sums the allocated rows; a snapshot taken mid-recording is a
+//! consistent-enough view for percentile reporting.
 //!
 //! Unlike the [`probe`](crate::probe) machinery this module is **always
 //! compiled** — it is plain data, costs nothing unless used, and the
@@ -17,7 +31,10 @@
 //! latency tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
+
+use cso_memory::CachePadded;
 
 /// Exact buckets cover `0..LINEAR_LIMIT`; log-linear buckets above.
 const LINEAR_LIMIT: u64 = 16;
@@ -57,13 +74,40 @@ fn bucket_upper_bound(idx: usize) -> u64 {
     }
 }
 
-/// A concurrent log-bucketed histogram of `u64` samples (nanoseconds
-/// by convention — [`LogHistogram::record`] takes a [`Duration`]).
-pub struct LogHistogram {
-    buckets: Box<[AtomicU64]>,
+/// One writer's counters: every bucket plus the exact count, sum and
+/// max.
+struct Row {
+    buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+impl Row {
+    fn boxed() -> Box<CachePadded<Row>> {
+        Box::new(CachePadded::new(Row {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }))
+    }
+}
+
+/// Adds `n` to a cell whose only writer is the caller: a relaxed load
+/// and store, no locked instruction.
+#[inline]
+fn bump_owned(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+/// A concurrent log-bucketed histogram of `u64` samples (nanoseconds
+/// by convention — [`LogHistogram::record`] takes a [`Duration`]).
+/// See the module docs for its owned and shared rows.
+pub struct LogHistogram {
+    /// The owned rows `0..n`, then the shared row; each allocated at
+    /// its first record.
+    rows: Box<[OnceLock<Box<CachePadded<Row>>>]>,
 }
 
 impl Default for LogHistogram {
@@ -73,53 +117,111 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
-    /// An empty histogram. Allocates its bucket array once.
+    /// An empty histogram with only the shared row, for
+    /// [`record_ns`](Self::record_ns) from any thread.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_owned_rows(0)
+    }
+
+    /// An empty histogram with `n` owned rows, one per writer id in
+    /// `0..n` (see [`record_owned`](Self::record_owned)), plus
+    /// the shared row. Allocates no row yet.
+    #[must_use]
+    pub fn with_owned_rows(n: usize) -> Self {
         LogHistogram {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            rows: (0..=n).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Records one sample, in nanoseconds. Wait-free: three relaxed
-    /// atomic RMWs plus a bounded max-update loop.
-    pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(ns, Ordering::Relaxed);
-        self.max.fetch_max(ns, Ordering::Relaxed);
+    /// Row `idx`, allocated on first use.
+    #[inline]
+    fn row(&self, idx: usize) -> &Row {
+        self.rows[idx].get_or_init(Row::boxed)
     }
 
-    /// Records one sample as a [`Duration`] (saturating at `u64` ns).
+    /// The rows allocated so far.
+    fn live_rows(&self) -> impl Iterator<Item = &Row> {
+        self.rows.iter().filter_map(|r| r.get().map(|r| &***r))
+    }
+
+    /// How many rows have been allocated: one per writer that has
+    /// recorded at least once.
+    #[cfg(test)]
+    fn allocated_rows(&self) -> usize {
+        self.live_rows().count()
+    }
+
+    /// Records one sample, in nanoseconds, into the shared row from any
+    /// thread. Wait-free: four relaxed atomic RMWs (bucket, count, sum,
+    /// max).
+    pub fn record_ns(&self, ns: u64) {
+        let row = self.row(self.rows.len() - 1);
+        row.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        row.count.fetch_add(1, Ordering::Relaxed);
+        row.sum.fetch_add(ns, Ordering::Relaxed);
+        row.max.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// [`record_owned`](Self::record_owned) in nanoseconds.
+    #[inline]
+    fn record_owned_ns(&self, row: usize, ns: u64) {
+        assert!(row + 1 < self.rows.len(), "owned row out of range");
+        let row = self.row(row);
+        bump_owned(&row.buckets[bucket_index(ns)], 1);
+        bump_owned(&row.count, 1);
+        bump_owned(&row.sum, ns);
+        if ns > row.max.load(Ordering::Relaxed) {
+            row.max.store(ns, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one sample as a [`Duration`] (saturating at `u64` ns)
+    /// into the shared row.
     pub fn record(&self, d: Duration) {
-        self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        self.record_ns(saturating_ns(d));
+    }
+
+    /// Records one sample as a [`Duration`] (saturating at `u64` ns)
+    /// into owned row `row`, whose only writer is the caller: a relaxed
+    /// load and store per word.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not below the `n` given at construction.
+    #[inline]
+    pub fn record_owned(&self, row: usize, d: Duration) {
+        self.record_owned_ns(row, saturating_ns(d));
     }
 
     /// True when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count.load(Ordering::Relaxed) == 0
+        self.live_rows()
+            .all(|r| r.count.load(Ordering::Relaxed) == 0)
     }
 
-    /// A point-in-time percentile summary.
+    /// A point-in-time percentile summary over every allocated row.
     ///
     /// Taken with relaxed loads, so a snapshot racing concurrent
-    /// [`record_ns`](Self::record_ns) calls may miss in-flight samples
-    /// or observe a sample in the buckets before it is reflected in
-    /// `count` (and vice versa); quantiles are computed against the
-    /// bucket mass actually seen, so the result is always a valid
-    /// summary of *some* recent prefix of samples. Quantile values are
-    /// bucket upper bounds: within 6.25% above the true sample.
+    /// records may miss in-flight samples or observe a sample in the
+    /// buckets before it is reflected in the sum (and vice versa);
+    /// quantiles are computed against the bucket mass actually seen, so
+    /// the result is always a valid summary of *some* recent prefix of
+    /// samples. Quantile values are bucket upper bounds: within 6.25%
+    /// above the true sample. The rows are summed one at a time into a
+    /// single bucket array, so the cost is one pass per allocated row.
     #[must_use]
     pub fn snapshot(&self) -> HistSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let mut counts = [0u64; NUM_BUCKETS];
+        let (mut sum, mut max) = (0u64, 0u64);
+        for row in self.live_rows() {
+            for (c, b) in counts.iter_mut().zip(row.buckets.iter()) {
+                *c += b.load(Ordering::Relaxed);
+            }
+            sum = sum.wrapping_add(row.sum.load(Ordering::Relaxed));
+            max = max.max(row.max.load(Ordering::Relaxed));
+        }
         let total: u64 = counts.iter().sum();
         let quantile = |q: f64| -> u64 {
             if total == 0 {
@@ -138,28 +240,32 @@ impl LogHistogram {
         };
         HistSnapshot {
             count: total,
-            mean_ns: self
-                .sum
-                .load(Ordering::Relaxed)
-                .checked_div(total)
-                .unwrap_or(0),
+            mean_ns: sum.checked_div(total).unwrap_or(0),
             p50_ns: quantile(0.50),
             p90_ns: quantile(0.90),
             p99_ns: quantile(0.99),
-            max_ns: self.max.load(Ordering::Relaxed),
+            max_ns: max,
         }
     }
 
-    /// Resets every counter to zero. Not atomic with respect to
-    /// concurrent recorders; reset between measurement cells.
+    /// Resets every allocated row to zero (rows stay allocated). Not
+    /// atomic with respect to concurrent recorders; reset between
+    /// measurement cells.
     pub fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
+        for row in self.live_rows() {
+            for b in row.buckets.iter() {
+                b.store(0, Ordering::Relaxed);
+            }
+            row.count.store(0, Ordering::Relaxed);
+            row.sum.store(0, Ordering::Relaxed);
+            row.max.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
+}
+
+/// `d` in nanoseconds, saturating at `u64::MAX`.
+fn saturating_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A point-in-time summary of a [`LogHistogram`], in nanoseconds.
@@ -343,6 +449,72 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.snapshot().count, 4000);
+    }
+
+    #[test]
+    fn owned_rows_snapshot_like_one_row() {
+        // Two writers record the same seeded samples, each into its
+        // own row; the summary must equal one shared row fed both.
+        let mut rng = cso_memory::backoff::XorShift64::new(0x0dd_5eed);
+        let samples: std::sync::Arc<Vec<u64>> = std::sync::Arc::new(
+            (0..5_000)
+                .map(|_| 16 + rng.next_u64() % 2_000_000)
+                .collect(),
+        );
+        let owned = std::sync::Arc::new(LogHistogram::with_owned_rows(2));
+        let writers: Vec<_> = (0..2)
+            .map(|row| {
+                let (owned, samples) = (owned.clone(), samples.clone());
+                std::thread::spawn(move || {
+                    for &v in samples.iter() {
+                        owned.record_owned_ns(row, v);
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let shared = LogHistogram::new();
+        for &v in samples.iter().chain(samples.iter()) {
+            shared.record_ns(v);
+        }
+        assert_eq!(owned.allocated_rows(), 2, "only the owned rows fired");
+        let (got, want) = (owned.snapshot(), shared.snapshot());
+        assert_eq!(got.count, 10_000);
+        assert_eq!(got, want);
+        owned.clear();
+        assert!(owned.is_empty());
+        assert_eq!(owned.snapshot().count, 0);
+    }
+
+    #[test]
+    fn unrecorded_histogram_allocates_nothing() {
+        let h = LogHistogram::with_owned_rows(4);
+        assert_eq!(h.allocated_rows(), 0);
+        assert!(h.is_empty());
+        h.clear();
+        assert_eq!(h.allocated_rows(), 0, "clear allocates nothing");
+        assert_eq!(
+            h.snapshot(),
+            HistSnapshot {
+                count: 0,
+                mean_ns: 0,
+                p50_ns: 0,
+                p90_ns: 0,
+                p99_ns: 0,
+                max_ns: 0
+            }
+        );
+        h.record_owned_ns(3, 500);
+        assert_eq!(h.allocated_rows(), 1, "a row per writer that fired");
+        assert!(!h.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "owned row out of range")]
+    fn the_shared_row_takes_no_owned_records() {
+        LogHistogram::with_owned_rows(2).record_owned_ns(2, 1);
     }
 
     #[test]
